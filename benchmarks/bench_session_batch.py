@@ -10,9 +10,9 @@ through :func:`repro.core.run_delta_batch` twice on the same workload:
   ``_InstanceArtifacts``) — no recompile, no structural re-scan;
 * **cold** — the pre-session layout: each request's variant is
   stripped of every carried solve context, so the arena, the structure
-  profile, and the dp-tree applicability probe are recomputed per
-  request (exactly what each batch task paid before the session
-  existed).
+  profile, the dp-tree applicability probe, and the fact → dependents
+  index are recomputed per request (exactly what each batch task paid
+  before the session existed).
 
 Asserted: (a) both paths return identical propagations request for
 request; (b) every warm variant re-binds the *same* arena storage as
@@ -41,7 +41,12 @@ from repro.core.session import SolveSession
 from repro.workloads import scaling_problem
 
 _MIN_SPEEDUP = 1.3
-_CARRIED_CONTEXT = ("_compiled_arena", "_session_base", "_solve_session")
+_CARRIED_CONTEXT = (
+    "_compiled_arena",
+    "_dependents_base",
+    "_session_base",
+    "_solve_session",
+)
 
 
 def _requests(problem, rng: random.Random, count: int, size: int) -> list[dict]:
@@ -136,13 +141,13 @@ def run(
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.bench import write_bench_json
+    from repro.bench import positive_int, write_bench_json
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=91)
-    parser.add_argument("--facts-per-relation", type=int, default=400)
-    parser.add_argument("--requests", type=int, default=12)
-    parser.add_argument("--request-size", type=int, default=3)
+    parser.add_argument("--facts-per-relation", type=positive_int, default=400)
+    parser.add_argument("--requests", type=positive_int, default=12)
+    parser.add_argument("--request-size", type=positive_int, default=3)
     parser.add_argument("--method", default="auto")
     parser.add_argument(
         "--out", default=".", help="directory for BENCH_session_batch.json"

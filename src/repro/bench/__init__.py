@@ -21,6 +21,7 @@ from repro.bench.harness import (
     counter_rows,
     geometric_mean,
     load_bench_json,
+    positive_int,
     timed,
     timed_best,
     write_bench_json,
@@ -47,6 +48,7 @@ __all__ = [
     "format_table",
     "geometric_mean",
     "load_bench_json",
+    "positive_int",
     "timed",
     "timed_best",
     "write_bench_json",

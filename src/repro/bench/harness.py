@@ -24,6 +24,7 @@ so the perf trajectory is machine-readable across PRs;
 
 from __future__ import annotations
 
+import argparse
 import json
 import time
 from dataclasses import dataclass, field
@@ -143,6 +144,23 @@ def counter_rows(
     return rows
 
 
+def positive_int(text: str) -> int:
+    """``argparse`` type for a count argument: a degenerate value such
+    as ``--facts-per-relation 0`` exits 2 with a one-line message
+    instead of failing deep inside a workload generator."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {value}"
+        )
+    return value
+
+
 def write_bench_json(
     bench: str,
     workload: str,
@@ -155,6 +173,7 @@ def write_bench_json(
 
     ``counters`` accepts a mapping or anything with ``as_dict()`` (an
     :class:`~repro.core.oracle.OracleCounters`); ``None`` records ``{}``.
+    ``directory`` is created when missing.
     """
     as_dict = getattr(counters, "as_dict", None)
     if callable(as_dict):
@@ -171,6 +190,7 @@ def write_bench_json(
         "counters": counter_map,
     }
     path = Path(directory) / f"BENCH_{bench}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path
 

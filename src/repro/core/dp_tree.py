@@ -20,6 +20,13 @@ The same DP solves the **standard** problem (uneliminated ΔV = ∞), the
 **weighted** problem, and the **balanced** problem (uneliminated ΔV =
 ``delta_penalty``), all exactly — experiment E7 checks optimality
 against brute force.
+
+Only components holding a ΔV tuple are solved.  In a ΔV-free component
+every cost is a non-negative weight of a killed segment, so keeping
+every fact costs 0 and the DP — which deletes only when that is
+*strictly* cheaper — deletes nothing there.  Skipping such components
+returns the same ``ΔD`` and makes a request cost O(‖ΔV‖ components)
+instead of O(‖V‖).
 """
 
 from __future__ import annotations
@@ -62,11 +69,13 @@ def solve_dp_tree(problem: DeletionPropagationProblem) -> Propagation:
     balanced = session.profile.balanced
     penalty = problem.delta_penalty if balanced else float("inf")
     delta = frozenset(problem.deleted_view_tuples())
+    components = _rooted_components(session)
+    index = session.component_index()
 
     deleted: set[Fact] = set()
-    for component in _rooted_components(session):
+    for cid in sorted({index[vt] for vt in delta}):
         deleted.update(
-            _solve_component(problem, component, delta, penalty)
+            _solve_component(problem, components[cid], delta, penalty)
         )
     return Propagation(problem, deleted, method="dp-tree")
 

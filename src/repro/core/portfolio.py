@@ -31,7 +31,10 @@ one instance serialize it once, and serial in-process runs skip the
 doc round-trip entirely.
 Workers return plain ``(relation, values)`` pairs; the parent rebuilds
 :class:`~repro.core.solution.Propagation` objects against its own
-problem, so the public surface stays object-level.
+problem, so the public surface stays object-level.  In-process runs
+carry the solved :class:`~repro.core.solution.Propagation` straight
+through instead: no second ΔV rebind, no re-validation, and the
+accounting the solve already computed is reused by whoever renders it.
 
 The pool is **supervised** rather than fire-and-forget: tasks run as
 individual futures with per-task timeouts instead of one opaque
@@ -127,12 +130,16 @@ _MAX_RESPAWNS = 3
 #: is in flight.
 _TIMEOUT_GRACE = 0.5
 
-#: ``(key, wall_seconds, facts_payload | None, error | None,
-#: attempt_dicts, route | None)`` — what worker tasks and their serial
-#: twins return.  ``route`` is the dispatch route the report took
+#: ``(key, wall_seconds, answer | None, error | None, attempt_dicts,
+#: route | None)`` — what worker tasks and their serial twins return.
+#: ``answer`` is a facts payload from a worker process and the solved
+#: :class:`Propagation` itself from an in-process twin (see
+#: :func:`_bind`).  ``route`` is the dispatch route the report took
 #: (``forced:<method>``, a route-table name, ``degraded:<method>``), so
 #: the serve tier's per-route histogram sees pool runs too.
-RawOutcome = tuple[object, float, list | None, str | None, list, str | None]
+RawOutcome = tuple[
+    object, float, list | Propagation | None, str | None, list, str | None
+]
 
 
 @dataclass(frozen=True)
@@ -250,6 +257,37 @@ def _error_attempts(exc: Exception) -> list[dict]:
     return [record.as_dict() for record in records]
 
 
+def _raw_outcome(
+    key: object, solve: Callable[[], Any], in_process: bool = False
+) -> RawOutcome:
+    """Run ``solve`` (returning a ``SolveReport``) into a raw outcome.
+
+    Solver errors travel as text — they are data here.  A worker task
+    ships the answer as a facts payload; an ``in_process`` twin hands
+    over the solved propagation itself."""
+    start = time.perf_counter()
+    try:
+        report = solve()
+    except Exception as exc:
+        return (
+            key,
+            time.perf_counter() - start,
+            None,
+            f"{type(exc).__name__}: {exc}",
+            _error_attempts(exc),
+            None,
+        )
+    propagation = report.propagation
+    return (
+        key,
+        time.perf_counter() - start,
+        propagation if in_process else _facts_payload(propagation),
+        None,
+        [record.as_dict() for record in report.attempts],
+        report.route,
+    )
+
+
 def _solve_method_task(
     method: str, policy: SolvePolicy | None = None
 ) -> RawOutcome:
@@ -257,27 +295,11 @@ def _solve_method_task(
     from repro.core.faultinject import maybe_inject
     from repro.core.registry import solve_report
 
-    start = time.perf_counter()
-    try:
+    def solve():
         maybe_inject("portfolio", method)
-        report = solve_report(_worker_problem(), method=method, policy=policy)
-    except Exception as exc:  # travel as text; solver errors are data here
-        return (
-            method,
-            time.perf_counter() - start,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            _error_attempts(exc),
-            None,
-        )
-    return (
-        method,
-        time.perf_counter() - start,
-        _facts_payload(report.propagation),
-        None,
-        [record.as_dict() for record in report.attempts],
-        report.route,
-    )
+        return solve_report(_worker_problem(), method=method, policy=policy)
+
+    return _raw_outcome(method, solve)
 
 
 def _solve_delta_task(
@@ -296,28 +318,12 @@ def _solve_delta_task(
     from repro.core.faultinject import maybe_inject
     from repro.core.registry import solve_report
 
-    start = time.perf_counter()
-    try:
+    def solve():
         maybe_inject("delta", index)
         problem = _worker_problem().with_deletions(deletions)
-        report = solve_report(problem, method=method, policy=policy)
-    except Exception as exc:
-        return (
-            index,
-            time.perf_counter() - start,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            _error_attempts(exc),
-            None,
-        )
-    return (
-        index,
-        time.perf_counter() - start,
-        _facts_payload(report.propagation),
-        None,
-        [record.as_dict() for record in report.attempts],
-        report.route,
-    )
+        return solve_report(problem, method=method, policy=policy)
+
+    return _raw_outcome(index, solve)
 
 
 # ----------------------------------------------------------------------
@@ -650,6 +656,37 @@ def _rebuild(
     return Propagation(problem, facts, method=method)
 
 
+def _bind(
+    answer: list | Propagation,
+    method: str,
+    problem: Callable[[], DeletionPropagationProblem],
+) -> Propagation:
+    """An outcome's propagation under the run's ``method`` label.
+
+    An in-process solve's propagation is carried straight through,
+    keeping its cached accounting; only a pool worker's facts payload
+    is rebuilt, against ``problem()`` (called only then)."""
+    if isinstance(answer, Propagation):
+        return answer.relabeled(method)
+    return _rebuild(problem(), method, answer)
+
+
+def _portfolio_result(
+    problem: DeletionPropagationProblem, raw: RawOutcome
+) -> PortfolioResult:
+    method, seconds, answer, error, attempts, route = raw
+    records = _attempt_records(attempts)
+    if answer is None:
+        return PortfolioResult(method, None, seconds, error, attempts=records)
+    return PortfolioResult(
+        method,
+        _bind(answer, method, lambda: problem),
+        seconds,
+        attempts=records,
+        route=route,
+    )
+
+
 def _attempt_records(attempts: Iterable[dict]) -> tuple[AttemptRecord, ...]:
     return tuple(AttemptRecord.from_dict(doc) for doc in attempts)
 
@@ -663,25 +700,10 @@ def _solve_method_serial(
     explicit problem (must not touch the worker-global cache)."""
     from repro.core.registry import solve_report
 
-    start = time.perf_counter()
-    try:
-        report = solve_report(problem, method=method, policy=policy)
-    except Exception as exc:
-        return (
-            method,
-            time.perf_counter() - start,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            _error_attempts(exc),
-            None,
-        )
-    return (
+    return _raw_outcome(
         method,
-        time.perf_counter() - start,
-        _facts_payload(report.propagation),
-        None,
-        [record.as_dict() for record in report.attempts],
-        report.route,
+        lambda: solve_report(problem, method=method, policy=policy),
+        in_process=True,
     )
 
 
@@ -690,32 +712,12 @@ def _run_serial(
     methods: Sequence[str],
     policy: SolvePolicy | None = None,
 ) -> list[PortfolioResult]:
-    results: list[PortfolioResult] = []
-    for method in methods:
-        _, seconds, payload, error, attempts, route = _solve_method_serial(
-            problem, method, policy
+    return [
+        _portfolio_result(
+            problem, _solve_method_serial(problem, method, policy)
         )
-        if payload is None:
-            results.append(
-                PortfolioResult(
-                    method,
-                    None,
-                    seconds,
-                    error,
-                    attempts=_attempt_records(attempts),
-                )
-            )
-        else:
-            results.append(
-                PortfolioResult(
-                    method,
-                    _rebuild(problem, method, payload),
-                    seconds,
-                    attempts=_attempt_records(attempts),
-                    route=route,
-                )
-            )
-    return results
+        for method in methods
+    ]
 
 
 def run_portfolio(
@@ -767,30 +769,7 @@ def run_portfolio(
     )
 
     by_method = {outcome[0]: outcome for outcome in raw}
-    results: list[PortfolioResult] = []
-    for method in methods:
-        _, seconds, payload, error, attempts, route = by_method[method]
-        if payload is None:
-            results.append(
-                PortfolioResult(
-                    method,
-                    None,
-                    seconds,
-                    error,
-                    attempts=_attempt_records(attempts),
-                )
-            )
-        else:
-            results.append(
-                PortfolioResult(
-                    method,
-                    _rebuild(problem, method, payload),
-                    seconds,
-                    attempts=_attempt_records(attempts),
-                    route=route,
-                )
-            )
-    return results
+    return [_portfolio_result(problem, by_method[method]) for method in methods]
 
 
 def best_result(results: Iterable[PortfolioResult]) -> PortfolioResult:
@@ -844,32 +823,17 @@ def _solve_delta_serial(
     problem — the serial fallback must not touch the module-level
     ``_WORKER_DOC`` / ``_WORKER_PROBLEM`` cache, which belongs to worker
     processes (a parent that is itself a pool worker would otherwise
-    have its cached problem clobbered)."""
+    have its cached problem clobbered).  The ΔV is rebound here once;
+    the solved propagation stays bound to that variant."""
     from repro.core.faultinject import maybe_inject
     from repro.core.registry import solve_report
 
-    start = time.perf_counter()
-    try:
+    def solve():
         maybe_inject("delta", index)
         variant = problem.with_deletions(deletions)
-        report = solve_report(variant, method=method, policy=policy)
-    except Exception as exc:
-        return (
-            index,
-            time.perf_counter() - start,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            _error_attempts(exc),
-            None,
-        )
-    return (
-        index,
-        time.perf_counter() - start,
-        _facts_payload(report.propagation),
-        None,
-        [record.as_dict() for record in report.attempts],
-        report.route,
-    )
+        return solve_report(variant, method=method, policy=policy)
+
+    return _raw_outcome(index, solve, in_process=True)
 
 
 def run_delta_batch(
@@ -903,7 +867,7 @@ def run_delta_batch(
         max_workers = min(len(normalized), os.cpu_count() or 1)
 
     # Compile the shared base once up front: serial tasks and the
-    # parent-side variant rebuilds below all rebind ΔV against this
+    # parent-side rebuilds of pool answers rebind ΔV against this
     # session's arena instead of recompiling per request.
     session = _prime_session(problem)
 
@@ -939,11 +903,11 @@ def run_delta_batch(
         )
 
     outcomes: list[DeltaOutcome] = []
-    for index, seconds, payload, error, attempts, route in sorted(
+    for index, seconds, answer, error, attempts, route in sorted(
         raw, key=lambda outcome: outcome[0]
     ):
         records = _attempt_records(attempts)
-        if payload is None:
+        if answer is None:
             if strict:
                 raise SolverError(f"request #{index} failed: {error}")
             outcomes.append(
@@ -952,12 +916,15 @@ def run_delta_batch(
                 )
             )
             continue
-        variant = problem.with_deletions(normalized[index])
         outcomes.append(
             DeltaOutcome(
                 index,
                 method,
-                _rebuild(variant, method, payload),
+                _bind(
+                    answer,
+                    method,
+                    lambda: problem.with_deletions(normalized[index]),
+                ),
                 seconds,
                 attempts=records,
                 route=route,

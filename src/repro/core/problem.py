@@ -137,6 +137,11 @@ class DeletionPropagationProblem:
 
     @cached_property
     def _dependents(self) -> dict[Fact, frozenset[ViewTuple]]:
+        # ΔV-independent: a with_deletions sibling resolves to its base
+        # problem's index, so it is built at most once per instance.
+        base = self.__dict__.get("_dependents_base")
+        if base is not None:
+            return base._dependents
         index: dict[Fact, set[ViewTuple]] = {}
         for vt in self.all_view_tuples():
             for witness in self.witnesses(vt):
@@ -169,12 +174,14 @@ class DeletionPropagationProblem:
         """A sibling problem over the same instance/queries with a
         different ΔV.
 
-        The materialized views, weights, and (when already computed) the
-        fact → dependents index are *shared* with ``self`` — only the
+        The materialized views, weights, and the fact → dependents index
+        are *shared* with ``self`` — only the
         :class:`~repro.relational.views.Deletion` is rebuilt, so binding
         a new request against a compiled instance costs O(‖ΔV‖) instead
-        of re-materializing every view.  This is the worker-side hot
-        path of :func:`repro.core.portfolio.run_delta_batch`.
+        of re-materializing every view.  The index is built lazily, on
+        the base problem, by whichever sibling needs it first; every
+        later sibling holds that same object.  This is the hot path of
+        :func:`repro.core.portfolio.run_delta_batch`.
         """
         clone = object.__new__(type(self))
         clone.instance = self.instance
@@ -184,10 +191,9 @@ class DeletionPropagationProblem:
         clone._weights = dict(self._weights)
         if isinstance(self, BalancedDeletionPropagationProblem):
             clone.delta_penalty = self.delta_penalty
-        # The dependents index is ΔV-independent; reuse it when built.
-        # (candidate_facts depends on ΔV and must not be copied.)
-        if "_dependents" in self.__dict__:
-            clone.__dict__["_dependents"] = self.__dict__["_dependents"]
+        # The dependents index is ΔV-independent: share the base's, built
+        # or not.  (candidate_facts depends on ΔV and must not be copied.)
+        clone._dependents_base = self.__dict__.get("_dependents_base", self)
         # A compiled witness arena carries over via an O(‖V‖ + ‖ΔV‖)
         # rebind of its ΔV slices — never a full recompile.
         arena = getattr(self, "_compiled_arena", None)

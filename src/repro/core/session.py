@@ -221,6 +221,7 @@ class _InstanceArtifacts:
         "data_dual",
         "dual_depths",
         "rooted",
+        "component_index",
         "ilp_incidence",
     )
 
@@ -229,6 +230,7 @@ class _InstanceArtifacts:
         self.data_dual: "DataDualGraph | None" = None
         self.dual_depths: dict[Fact, int] | None = None
         self.rooted: "list[RootedComponent] | object" = _UNSET
+        self.component_index: dict[ViewTuple, int] | None = None
         #: Full vt × fact witness incidence as a scipy csr_matrix over
         #: the arena slabs (see :func:`repro.lp.ilp.witness_incidence`)
         #: — ΔV-independent, so siblings share one build.
@@ -610,6 +612,21 @@ class SolveSession:
         if isinstance(shared.rooted, Exception):
             raise shared.rooted
         return shared.rooted
+
+    def component_index(self) -> dict[ViewTuple, int]:
+        """View tuple → position of its component in
+        :meth:`rooted_components` (memoized on the shared holder, so
+        ΔV siblings and shm-attached sessions build it once per
+        instance).  Algorithm 4 reads it to visit only the components
+        holding a ΔV tuple."""
+        shared = self._shared
+        if shared.component_index is None:
+            shared.component_index = {
+                segment.view_tuple: cid
+                for cid, component in enumerate(self.rooted_components())
+                for segment in component.segments
+            }
+        return shared.component_index
 
     # ------------------------------------------------------------------
     # Degree index (Algorithms 2 / 3)

@@ -299,14 +299,14 @@ def export_arena(
         return dict(handle.manifest)
 
     arrays = [
-        (name, np.ascontiguousarray(getattr(arena, name)))
-        for name in _ARRAY_FIELDS
+        (slab, np.ascontiguousarray(getattr(arena, slab)))
+        for slab in _ARRAY_FIELDS
     ]
     specs: dict[str, dict[str, Any]] = {}
     offset = 0
-    for name, array in arrays:
+    for slab, array in arrays:
         offset = -(-offset // _ALIGN) * _ALIGN
-        specs[name] = {
+        specs[slab] = {
             "dtype": str(array.dtype),
             "shape": list(array.shape),
             "offset": offset,
@@ -328,9 +328,8 @@ def export_arena(
         shm = shared_memory.SharedMemory(
             create=True, name=segment_name, size=max(1, offset)
         )
-    for name, array in arrays:
-        spec = specs[name]
-        start = spec["offset"]
+    for slab, array in arrays:
+        start = specs[slab]["offset"]
         target = np.frombuffer(
             shm.buf, dtype=array.dtype, count=array.size, offset=start
         )

@@ -14,6 +14,7 @@ objective values:
 
 from __future__ import annotations
 
+import copy
 from functools import cached_property
 from typing import Iterable
 
@@ -60,6 +61,13 @@ class Propagation:
                         f"solution deletes {fact!r} which is not in the "
                         "source"
                     )
+
+    def relabeled(self, method: str) -> "Propagation":
+        """The same ``ΔD`` on the same problem under another method
+        label, sharing every derived quantity already computed here."""
+        clone = copy.copy(self)
+        clone.method = method
+        return clone
 
     # ------------------------------------------------------------------
     # Derived view-level effect

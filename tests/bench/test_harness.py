@@ -1,6 +1,11 @@
 """Tests for the bench harness utilities and markdown rendering."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,7 @@ from repro.bench.harness import (
     ExperimentResult,
     geometric_mean,
     load_bench_json,
+    positive_int,
     timed,
     write_bench_json,
 )
@@ -74,6 +80,45 @@ class TestBenchJson:
             directory=tmp_path,
         )
         assert load_bench_json(bare)["counters"] == {}
+
+    def test_creates_missing_directory(self, tmp_path):
+        path = write_bench_json(
+            bench="nested",
+            workload="w",
+            rows=[],
+            wall_seconds=0.0,
+            directory=tmp_path / "a" / "b",
+        )
+        assert load_bench_json(path)["bench"] == "nested"
+
+    def test_positive_int(self):
+        assert positive_int("3") == 3
+        for text in ("0", "-2", "x", "1.5"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                positive_int(text)
+
+    @pytest.mark.parametrize(
+        "script",
+        ["bench_serve_throughput.py", "bench_session_batch.py"],
+    )
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bench_rejects_degenerate_size(self, script, value):
+        root = Path(__file__).resolve().parents[2]
+        done = subprocess.run(
+            [
+                sys.executable,
+                str(root / "benchmarks" / script),
+                "--facts-per-relation",
+                value,
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "expected a positive integer" in done.stderr
 
     def test_load_rejects_non_artifact(self, tmp_path):
         path = tmp_path / "BENCH_bogus.json"

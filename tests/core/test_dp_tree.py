@@ -129,3 +129,159 @@ class TestDeterministicScenario:
         optimum = solve_exact(problem)
         assert dp.is_feasible()
         assert dp.side_effect() == pytest.approx(optimum.side_effect())
+
+
+# ----------------------------------------------------------------------
+# ΔV-local restriction: only components holding a ΔV tuple are solved
+# ----------------------------------------------------------------------
+
+
+def _deletions(problem):
+    out: dict = {}
+    for vt in problem.deleted_view_tuples():
+        out.setdefault(vt.view, []).append(vt.values)
+    return out
+
+
+def _variants(problem, rng):
+    """The standard problem plus a weighted twin (zero weights on some
+    preserved tuples) and a balanced twin over the same data."""
+    from repro.core.problem import (
+        BalancedDeletionPropagationProblem,
+        DeletionPropagationProblem,
+    )
+
+    weights = {
+        vt: rng.choice((0.0, 0.0, 0.5, 1.0, 3.0))
+        for vt in problem.preserved_view_tuples()
+    }
+    deletions = _deletions(problem)
+    return {
+        "standard": problem,
+        "weighted": DeletionPropagationProblem(
+            problem.instance, problem.queries, deletions, weights
+        ),
+        "balanced": BalancedDeletionPropagationProblem(
+            problem.instance,
+            problem.queries,
+            deletions,
+            weights,
+            delta_penalty=rng.choice((0.5, 1.0, 2.5)),
+        ),
+    }
+
+
+def _all_components(problem):
+    """The pre-restriction DP: every component of the rooted layout."""
+    from repro.core.dp_tree import _solve_component
+    from repro.core.session import SolveSession
+
+    session = SolveSession.of(problem)
+    penalty = (
+        problem.delta_penalty if session.profile.balanced else float("inf")
+    )
+    delta = frozenset(problem.deleted_view_tuples())
+    deleted = set()
+    for component in session.rooted_components():
+        deleted |= _solve_component(problem, component, delta, penalty)
+    return frozenset(deleted)
+
+
+def _dp_tree_cases():
+    from repro.fuzz.generator import CASE_KINDS, make_case
+
+    cases = []
+    for kind in CASE_KINDS:
+        for seed in range(6):
+            problem = make_case(kind, random.Random(seed)).problem
+            if applies_to(problem):
+                cases.append(pytest.param(problem, id=f"{kind}-{seed}"))
+    return cases
+
+
+class TestDeltaLocal:
+    @pytest.mark.parametrize("problem", _dp_tree_cases())
+    def test_matches_all_component_loop(self, problem):
+        variants = _variants(problem, random.Random(7))
+        for name, variant in variants.items():
+            assert solve_dp_tree(variant).deleted_facts == _all_components(
+                variant
+            ), name
+
+    def test_fuzz_shapes_are_covered(self):
+        kinds = {case.id.rsplit("-", 1)[0] for case in _dp_tree_cases()}
+        assert {
+            "chain",
+            "star",
+            "forest",
+            "weight-ties",
+            "empty-delta",
+            "single-delta",
+            "balanced",
+        } <= kinds
+
+    def test_delta_free_component_deletes_nothing(self):
+        from repro.core.dp_tree import _solve_component
+        from repro.core.session import SolveSession
+        from repro.workloads import scaling_problem
+
+        problem = scaling_problem(random.Random(3), facts_per_relation=40)
+        one = problem.deleted_view_tuples()[0]
+        variant = problem.with_deletions({one.view: [one.values]})
+        session = SolveSession.of(variant)
+        components = session.rooted_components()
+        touched = session.component_index()[one]
+        free = [c for i, c in enumerate(components) if i != touched]
+        assert free, "instance must have a ΔV-free component"
+        delta = frozenset(variant.deleted_view_tuples())
+        for component in free:
+            assert _solve_component(
+                variant, component, delta, float("inf")
+            ) == set()
+        assert solve_dp_tree(variant).deleted_facts == _all_components(
+            variant
+        )
+
+    def test_component_index_shared_across_siblings(self):
+        from repro.core.session import SolveSession
+        from repro.workloads import scaling_problem
+
+        problem = scaling_problem(random.Random(4), facts_per_relation=30)
+        base = SolveSession.of(problem)
+        one = problem.deleted_view_tuples()[0]
+        sibling = SolveSession.of(
+            problem.with_deletions({one.view: [one.values]})
+        )
+        assert sibling.component_index() is base.component_index()
+        assert set(base.component_index()) == set(problem.all_view_tuples())
+
+    def test_attached_session_matches_local(self):
+        from repro.core.session import SolveSession
+        from repro.core.shm import attach_session
+        from repro.workloads import scaling_problem
+
+        problem = scaling_problem(random.Random(5), facts_per_relation=40)
+        session = SolveSession.of(problem)
+        try:
+            manifest = session.export_shm()
+        except Exception as exc:  # no usable POSIX shared memory
+            pytest.skip(f"shared memory unavailable: {exc}")
+        attached = attach_session(manifest)
+        try:
+            rng = random.Random(6)
+            pool = problem.deleted_view_tuples()
+            for _ in range(5):
+                request: dict = {}
+                for vt in rng.sample(pool, k=min(3, len(pool))):
+                    request.setdefault(vt.view, []).append(vt.values)
+                remote = attached.problem.with_deletions(request)
+                local = problem.with_deletions(request)
+                assert solve_dp_tree(remote).deleted_facts == (
+                    _all_components(local)
+                )
+            assert SolveSession.of(remote).component_index() is (
+                attached.component_index()
+            )
+        finally:
+            attached.close()
+            session.close()

@@ -228,6 +228,59 @@ class TestRunDeltaBatch:
         assert (mod._WORKER_DOC, mod._WORKER_PROBLEM) == before
 
 
+class TestSerialCarry:
+    """The in-process batch path rebinds each ΔV once and renders the
+    solved propagation itself, with no payload round trip."""
+
+    @pytest.mark.parametrize("method", ["auto", "greedy-min-damage"])
+    def test_one_rebind_shared_index_same_render(
+        self, problem, method, monkeypatch
+    ):
+        from repro.core import portfolio as mod
+        from repro.core.problem import DeletionPropagationProblem
+        from repro.io.serialize import solution_to_dict
+
+        siblings = []
+        rebuilds = []
+        with_deletions = DeletionPropagationProblem.with_deletions
+        rebuild = mod._rebuild
+
+        def counting_with_deletions(self, deletions):
+            clone = with_deletions(self, deletions)
+            siblings.append(clone)
+            return clone
+
+        def counting_rebuild(*args):
+            rebuilds.append(args)
+            return rebuild(*args)
+
+        monkeypatch.setattr(
+            DeletionPropagationProblem,
+            "with_deletions",
+            counting_with_deletions,
+        )
+        monkeypatch.setattr(mod, "_rebuild", counting_rebuild)
+        requests = TestRunDeltaBatch._requests(self, problem, count=4)
+        outcomes = run_delta_batch(
+            problem, requests, method=method, max_workers=0
+        )
+        monkeypatch.undo()
+
+        assert len(siblings) == len(requests)
+        assert rebuilds == []
+        for sibling in siblings:
+            assert sibling._dependents is problem._dependents
+        for outcome, sibling, request in zip(outcomes, siblings, requests):
+            assert outcome.ok, outcome.error
+            assert outcome.propagation.problem is sibling
+            rendered = solution_to_dict(outcome.propagation)
+            local = solution_to_dict(
+                solve(problem.with_deletions(request), method=method)
+            )
+            assert rendered["method"] == method
+            assert {**rendered, "method": local["method"]} == local
+
+
 class TestSupervisor:
     def _requests(self, problem, count):
         return TestRunDeltaBatch._requests(self, problem, count=count)

@@ -91,6 +91,30 @@ def test_export_is_idempotent():
     session.close()
 
 
+def test_each_export_gets_its_own_segment():
+    first = SolveSession.of(make_case("chain", random.Random(5)).problem)
+    second = SolveSession.of(make_case("star", random.Random(6)).problem)
+    pinned = SolveSession.of(make_case("forest", random.Random(7)).problem)
+    try:
+        names = [
+            first.export_shm()["segment"],
+            second.export_shm()["segment"],
+            pinned.export_shm(name="repro_jtestpinned")["segment"],
+        ]
+        assert names[0] != names[1]
+        assert all(name.startswith("repro_") for name in names[:2])
+        assert names[2] == "repro_jtestpinned"
+        attached = attach_session(first.export_shm())
+        assert (
+            attached.arena.wit_indices.tobytes()
+            == first.arena.wit_indices.tobytes()
+        )
+        attached.close()
+    finally:
+        for session in (first, second, pinned):
+            session.close()
+
+
 def test_attach_slabs_are_readonly_views():
     """Attached slabs are reader-only views of the shared segment —
     a writer would corrupt every attached sibling."""

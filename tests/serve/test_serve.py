@@ -147,6 +147,45 @@ def test_solve_batch_and_policy_admission(tmp_path):
         thread.join(timeout=30)
 
 
+def test_pooled_batch_answers_the_right_instance(tmp_path):
+    """Each registered instance exports its own segment, so pool
+    workers attach the instance the batch names even after another
+    instance registered later."""
+    first, second = _case_problem(21), _case_problem(22)
+    requests = [
+        {vt.view: [list(vt.values)]}
+        for vt in sorted(first.deleted_view_tuples())[:4]
+    ]
+    expected = [
+        sorted(
+            [fact.relation, list(fact.values)]
+            for fact in solve(first.with_deletions(request)).deleted_facts
+        )
+        for request in requests
+    ]
+    before = set(active_segments())
+    address, thread = _serve(tmp_path, max_workers=2, pool_threshold=2)
+    try:
+        with ServeClient.connect(address) as client:
+            instance = client.register(problem_to_dict(first))
+            client.register(problem_to_dict(second))
+            assert len(set(active_segments()) - before) == 2
+            results = client.solve_batch(instance, requests)
+            served = [
+                sorted(
+                    [entry["relation"], entry["values"]]
+                    for entry in result["solution"]["deleted_facts"]
+                )
+                for result in results
+            ]
+            assert served == expected
+            assert client.stats()["stats"]["pooled_batches"] == 1
+    finally:
+        with ServeClient.connect(address) as client:
+            client.shutdown()
+        thread.join(timeout=30)
+
+
 def test_error_paths_keep_serving(tmp_path):
     problem = _case_problem(23)
     doc = problem_to_dict(problem)
