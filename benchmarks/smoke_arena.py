@@ -22,7 +22,7 @@ import random
 import sys
 import time
 
-from repro.bench import write_bench_json
+from repro.bench import positive_int, write_bench_json
 from repro.core import (
     OracleCounters,
     improve,
@@ -110,7 +110,7 @@ def run(seed: int = 73, facts_per_relation: int = 200) -> tuple[list, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=73)
-    parser.add_argument("--facts-per-relation", type=int, default=200)
+    parser.add_argument("--facts-per-relation", type=positive_int, default=200)
     parser.add_argument(
         "--out", default=".", help="directory for BENCH_smoke_arena.json"
     )

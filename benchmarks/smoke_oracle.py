@@ -24,7 +24,7 @@ import random
 import sys
 import time
 
-from repro.bench import write_bench_json
+from repro.bench import positive_int, write_bench_json
 from repro.core import (
     BalancedDeletionPropagationProblem,
     OracleCounters,
@@ -96,7 +96,7 @@ def run(seed: int = 73, facts_per_relation: int = 200) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=73)
-    parser.add_argument("--facts-per-relation", type=int, default=200)
+    parser.add_argument("--facts-per-relation", type=positive_int, default=200)
     parser.add_argument("--out", default=None, help="write JSON here")
     parser.add_argument(
         "--bench-dir",

@@ -13,6 +13,8 @@ infeasible at a given bound.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import SolverError
 from repro.relational.tuples import Fact
 from repro.core.problem import DeletionPropagationProblem
@@ -51,7 +53,7 @@ def solve_bounded_exact(
 
     def side_effect() -> float:
         eliminated = problem.eliminated_by(deleted)
-        return sum(
+        return math.fsum(
             problem.weight(vt) for vt in eliminated if vt not in delta
         )
 

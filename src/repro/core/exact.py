@@ -21,6 +21,7 @@ scales to everything HiGHS can chew.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from repro.errors import DeadlineExceededError, SolverError
@@ -83,7 +84,9 @@ def _standard_branch_and_bound(
 
     def partial_cost() -> float:
         eliminated = problem.eliminated_by(deleted)
-        return sum(problem.weight(vt) for vt in eliminated if vt not in delta)
+        return math.fsum(
+            problem.weight(vt) for vt in eliminated if vt not in delta
+        )
 
     def recurse(index: int) -> None:
         nonlocal best_cost, best_facts

@@ -14,6 +14,8 @@ renders exactly that:
 
 from __future__ import annotations
 
+import math
+
 from repro.relational.tuples import Fact
 from repro.relational.views import ViewTuple
 from repro.core.solution import Propagation
@@ -68,7 +70,7 @@ def explain_solution(
         if collateral:
             losses = ", ".join(repr(vt) for vt in collateral[:4])
             suffix = " …" if len(collateral) > 4 else ""
-            weight = sum(problem.weight(vt) for vt in collateral)
+            weight = math.fsum(problem.weight(vt) for vt in collateral)
             lines.append(
                 f"  collateral (weight {weight:g}): {losses}{suffix}"
             )

@@ -27,7 +27,6 @@ import math
 
 from repro.errors import DeadlineExceededError, StructureError
 from repro.relational.tuples import Fact
-from repro.relational.views import ViewTuple
 from repro.core.primal_dual import solve_primal_dual
 from repro.core.problem import DeletionPropagationProblem
 from repro.core.resilience import active_deadline
@@ -43,12 +42,12 @@ __all__ = [
 
 
 def preserved_degree(problem: DeletionPropagationProblem) -> dict[Fact, int]:
-    """For every fact: the number of preserved view tuples whose witness
-    contains it (the quantity thresholded by τ).
+    """For every ΔV candidate fact: the number of preserved view tuples
+    whose witness contains it (the quantity thresholded by τ).  No other
+    fact can be deleted, so none is listed.
 
-    Memoized on the problem's :class:`SolveSession`, so the τ sweep
-    below (which used to rebuild this index once per threshold) pays
-    for it exactly once.
+    Read from the session's memoized candidate-dependents index, so the
+    τ sweep below builds that index exactly once.
     """
     return SolveSession.of(problem).preserved_degree()
 
@@ -72,16 +71,10 @@ def solve_lowdeg_tree(
             problem, problem.candidate_facts(), method="lowdeg-tree-fallback"
         )
 
-    width_cutoff = math.sqrt(problem.norm_v)
-    pruned_weights: dict[ViewTuple, float] = {}
-    for vt in problem.preserved_view_tuples():
-        if len(problem.witness(vt)) > width_cutoff:
-            pruned_weights[vt] = 0.0
-
     solution = solve_primal_dual(
         problem,
         allowed_facts=allowed,
-        preserved_weights=pruned_weights,
+        preserved_weights=SolveSession.of(problem).wide_tuple_weights,
     )
     return Propagation(
         problem, solution.deleted_facts, method=f"lowdeg-tree(tau={tau})"

@@ -20,6 +20,8 @@ style of Garg–Vazirani–Yannakakis multicut on trees.  Realization here
   deleted (``y_t = 1``).
 * Reverse-delete pruning: drop deletions that are not needed for
   feasibility, in reverse order of saturation (Algorithm 1 lines 7–10).
+* Only ΔV candidate facts get a capacity; docs/ALGORITHMS.md shows this
+  is exact.  A call costs O(dependents of ΔV), not O(‖V‖ log ‖V‖).
 
 Theorem 3 asserts the result is feasible and an ``l``-approximation
 (``l`` = max query arity); experiment E5 validates the ratio against the
@@ -44,7 +46,8 @@ _EPS = 1e-12
 
 class PrimalDualTrace:
     """Execution trace: dual values, saturation order, pruning — used by
-    tests to check dual feasibility and by the benches for reporting."""
+    tests to check dual feasibility and by the benches for reporting.
+    Facts named here are ΔV candidate facts only."""
 
     def __init__(self) -> None:
         self.dual_values: dict[ViewTuple, float] = {}
@@ -106,7 +109,6 @@ def solve_primal_dual(
     session = SolveSession.of(problem)
     witnesses, depth = _session_artifacts(session)
     delta = problem.deleted_view_tuples()
-    preserved = problem.preserved_view_tuples()
     allowed = None if allowed_facts is None else frozenset(allowed_facts)
 
     def weight_of(vt: ViewTuple) -> float:
@@ -114,23 +116,19 @@ def solve_primal_dual(
             return preserved_weights[vt]
         return problem.weight(vt)
 
-    # Capacities from the dual LP: cap(t) = sum of w_s / k_s.
+    # Capacities from the dual LP, cap(t) = Σ_{s ∈ R, t ∈ wit(s)} w_s/k_s,
+    # for the ΔV candidate facts only (no other fact enters a dual raise
+    # or a feasibility test), each summed in ascending view-tuple order.
     capacity: dict[Fact, float] = {}
-    for vt in preserved:
-        witness = witnesses[vt]
-        share = weight_of(vt) / len(witness)
-        for fact in witness:
-            capacity[fact] = capacity.get(fact, 0.0) + share
-    for vt in delta:
-        for fact in witnesses[vt]:
-            capacity.setdefault(fact, 0.0)
-
-    residual: dict[Fact, float] = {}
-    for fact, cap in capacity.items():
-        if allowed is not None and fact not in allowed:
-            residual[fact] = float("inf")
-        else:
-            residual[fact] = cap
+    for fact, dependents in session.preserved_dependents.items():
+        cap = 0.0
+        for vt in dependents:
+            cap += weight_of(vt) / len(witnesses[vt])
+        capacity[fact] = cap
+    residual = {
+        fact: cap if allowed is None or fact in allowed else float("inf")
+        for fact, cap in capacity.items()
+    }
     if trace is not None:
         trace.capacities = dict(capacity)
 
@@ -144,13 +142,10 @@ def solve_primal_dual(
                     "restricted instance is infeasible"
                 )
 
-    deleted: list[Fact] = []
-    deleted_set: set[Fact] = set()
-    # Zero-capacity facts saturate immediately (free deletions).
-    for fact in sorted(residual):
-        if residual[fact] <= _EPS:
-            deleted.append(fact)
-            deleted_set.add(fact)
+    # Zero-capacity facts saturate immediately (free deletions), in
+    # ascending fact order (the candidates' order).
+    deleted = [fact for fact, res in residual.items() if res <= _EPS]
+    deleted_set = set(deleted)
 
     def lca_depth(vt: ViewTuple) -> int:
         return min(depth[f] for f in witnesses[vt])

@@ -14,8 +14,8 @@ instance and owns all of it:
 * a :class:`StructureProfile` — every structural predicate and size
   norm the route table dispatches on, each computed exactly once;
 * memoized solve artifacts: the witness map, the rooted data dual
-  layout (Algorithms 1/3/4), the preserved-degree index (Algorithm 2's
-  τ filter), and the RBSC / PN-PSC covering reductions with red/blue
+  layout (Algorithms 1/3/4), the ΔV candidates' preserved dependents
+  (Algorithms 1–3), and the RBSC / PN-PSC covering reductions with red/blue
   slices taken from the arena's flat int-ID arrays.
 
 Sessions are cached on the problem (:meth:`SolveSession.of`), so any
@@ -29,6 +29,7 @@ batch hot path of :func:`repro.core.portfolio.run_delta_batch`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, TYPE_CHECKING
@@ -256,7 +257,6 @@ class SolveSession:
         # across every rebind of the same instance.
         self._shared = shared if shared is not None else _InstanceArtifacts()
         # ΔV-dependent memos: per-session.
-        self._preserved_degree: dict[Fact, int] | None = None
         self._rbsc: "SetCoverReduction | None" = None
         self._posneg: "SetCoverReduction | None" = None
         self._ilp: "CompiledILP | None" = None
@@ -629,27 +629,37 @@ class SolveSession:
         return shared.component_index
 
     # ------------------------------------------------------------------
-    # Degree index (Algorithms 2 / 3)
+    # ΔV candidate index (Algorithms 1–3)
     # ------------------------------------------------------------------
 
+    @cached_property
+    def preserved_dependents(self) -> dict[Fact, tuple[ViewTuple, ...]]:
+        """For every ΔV candidate fact: the preserved view tuples whose
+        witness contains it, ascending — all of R that Algorithms 1–3
+        read (ΔV-dependent, so memoized per session)."""
+        problem = self.problem
+        delta = frozenset(problem.deleted_view_tuples())
+        return {
+            fact: tuple(sorted(problem.dependents(fact) - delta))
+            for fact in problem.candidate_facts()
+        }
+
     def preserved_degree(self) -> dict[Fact, int]:
-        """For every fact: the number of *preserved* view tuples whose
-        witness contains it (the τ-threshold quantity; ΔV-dependent,
-        memoized per session)."""
-        if self._preserved_degree is None:
-            arena = self.arena
-            degrees: dict[Fact, int] = {}
-            facts = arena.facts
-            is_delta = arena.is_delta
-            wit_of = arena.wit_of
-            for vid in range(arena.num_view_tuples):
-                if is_delta[vid]:
-                    continue
-                for fid in wit_of[vid]:
-                    fact = facts[fid]
-                    degrees[fact] = degrees.get(fact, 0) + 1
-            self._preserved_degree = degrees
-        return self._preserved_degree
+        """Every ΔV candidate fact's number of preserved dependents
+        (Algorithm 2's τ-threshold quantity)."""
+        return {f: len(vts) for f, vts in self.preserved_dependents.items()}
+
+    @cached_property
+    def wide_tuple_weights(self) -> dict[ViewTuple, float]:
+        """Algorithm 2's pruned objective: weight 0.0 for each preserved
+        dependent of a candidate wider than ``sqrt(‖V‖)``."""
+        cutoff = math.sqrt(self.problem.norm_v)
+        return {
+            vt: 0.0
+            for vts in self.preserved_dependents.values()
+            for vt in vts
+            if len(self.problem.witness(vt)) > cutoff
+        }
 
     # ------------------------------------------------------------------
     # Set-cover reductions (Claim 1 / Lemma 1)

@@ -28,6 +28,8 @@ as baselines and inside the applications:
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 
 from repro.errors import NotKeyPreservingError, SolverError
@@ -59,7 +61,7 @@ def solve_single_deletion(problem: DeletionPropagationProblem) -> Propagation:
     best_fact: Fact | None = None
     best_damage = float("inf")
     for fact in sorted(problem.witness(vt)):
-        damage = sum(
+        damage = math.fsum(
             problem.weight(d)
             for d in problem.dependents(fact)
             if d != vt

@@ -15,6 +15,7 @@ objective values:
 from __future__ import annotations
 
 import copy
+import math
 from functools import cached_property
 from typing import Iterable
 
@@ -115,7 +116,7 @@ class Propagation:
 
     def side_effect(self) -> float:
         """The paper's ``s_view``: total weight of collateral damage."""
-        return sum(self.problem.weight(vt) for vt in self.collateral)
+        return math.fsum(self.problem.weight(vt) for vt in self.collateral)
 
     def balanced_cost(self) -> float:
         """Balanced objective (PN-PSC semantics).  Uses the problem's

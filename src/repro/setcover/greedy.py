@@ -11,6 +11,7 @@ Two flavours used by the RBSC approximation:
 
 from __future__ import annotations
 
+import math
 from typing import Hashable
 
 from repro.errors import SolverError
@@ -40,7 +41,7 @@ def greedy_weighted_cover(
             new_blues = instance.blues_of(name) & uncovered_blues
             if not new_blues:
                 continue
-            new_red_weight = sum(
+            new_red_weight = math.fsum(
                 instance.red_weight(r)
                 for r in instance.reds_of(name) - covered_reds
             )

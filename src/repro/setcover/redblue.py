@@ -15,6 +15,7 @@ as ground truth.  The approximation lives in
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable, Mapping
 
 import numpy as np
@@ -96,7 +97,9 @@ class RedBlueSetCover:
 
     def cost(self, selection: Iterable[str]) -> float:
         """Total weight of red elements covered by the selection."""
-        return sum(self.red_weight(r) for r in self.covered_reds(selection))
+        return math.fsum(
+            self.red_weight(r) for r in self.covered_reds(selection)
+        )
 
     def feasibility_possible(self) -> bool:
         """Is any feasible selection possible at all?"""
@@ -177,7 +180,7 @@ def solve_rbsc_exact(instance: RedBlueSetCover) -> tuple[list[str], float]:
     covered_reds: set[Element] = set()
 
     def current_cost() -> float:
-        return sum(instance.red_weight(r) for r in covered_reds)
+        return math.fsum(instance.red_weight(r) for r in covered_reds)
 
     def recurse() -> None:
         nonlocal best_cost, best_selection

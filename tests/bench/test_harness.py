@@ -99,7 +99,12 @@ class TestBenchJson:
 
     @pytest.mark.parametrize(
         "script",
-        ["bench_serve_throughput.py", "bench_session_batch.py"],
+        [
+            "bench_serve_throughput.py",
+            "bench_session_batch.py",
+            "smoke_oracle.py",
+            "smoke_arena.py",
+        ],
     )
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_bench_rejects_degenerate_size(self, script, value):

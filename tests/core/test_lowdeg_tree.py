@@ -113,3 +113,94 @@ class TestBound:
         assert theorem4_bound(problem) == pytest.approx(
             max(1.0, 2.0 * math.sqrt(problem.norm_v))
         )
+
+
+# ----------------------------------------------------------------------
+# ΔV-local restriction vs. the full scan
+# ----------------------------------------------------------------------
+
+
+def full_scan_degrees(problem):
+    """Reference twin: preserved degree of every fact of every
+    preserved witness."""
+    degrees = {}
+    for vt in problem.preserved_view_tuples():
+        for fact in problem.witness(vt):
+            degrees[fact] = degrees.get(fact, 0) + 1
+    return degrees
+
+
+def full_scan_lowdeg(problem, tau):
+    """Reference twin of Algorithm 2: degrees and wide-tuple weights
+    over all of R, Algorithm 1 by its full-scan twin.  Returns ΔD."""
+    from test_primal_dual import full_scan_primal_dual
+
+    degrees = full_scan_degrees(problem)
+    allowed = frozenset(
+        f for f in problem.candidate_facts() if degrees.get(f, 0) <= tau
+    )
+    if not all(
+        problem.witness(vt) & allowed for vt in problem.deleted_view_tuples()
+    ):
+        return frozenset(problem.candidate_facts())
+    pruned = {
+        vt: 0.0
+        for vt in problem.preserved_view_tuples()
+        if len(problem.witness(vt)) > math.sqrt(problem.norm_v)
+    }
+    deleted, _, _ = full_scan_primal_dual(
+        problem, allowed_facts=allowed, preserved_weights=pruned
+    )
+    return deleted
+
+
+def full_scan_sweep(problem):
+    """Reference twin of Algorithm 3 over :func:`full_scan_lowdeg`."""
+    from repro.core.solution import Propagation
+
+    degrees = full_scan_degrees(problem)
+    best = None
+    for tau in sorted({degrees.get(f, 0) for f in problem.candidate_facts()}):
+        candidate = Propagation(problem, full_scan_lowdeg(problem, tau))
+        if candidate.is_feasible() and (
+            best is None or candidate.side_effect() < best.side_effect()
+        ):
+            best = candidate
+    return best.deleted_facts
+
+
+class TestDeltaLocal:
+    """Algorithms 2 and 3 read only the ΔV candidates' dependents; every
+    threshold's ΔD and the sweep's answer equal the full scan's."""
+
+    def cases(self, seed):
+        from test_primal_dual import forest_duel_cases, reweighted
+
+        rng = random.Random(seed)
+        for kind, problem in forest_duel_cases(seed=seed, per_kind=8):
+            yield kind, problem
+            weights = {
+                vt: rng.choice((0.0, 0.25, 1 / 3, 1.0, 4.0))
+                for vt in problem.preserved_view_tuples()
+            }
+            yield kind, reweighted(problem, weights)
+
+    def test_degrees_cover_candidates(self):
+        for _, problem in self.cases(81):
+            degrees = preserved_degree(problem)
+            full = full_scan_degrees(problem)
+            assert set(degrees) == set(problem.candidate_facts())
+            for fact, degree in degrees.items():
+                assert degree == full.get(fact, 0)
+
+    def test_every_threshold_and_sweep_match(self):
+        kinds = set()
+        for kind, problem in self.cases(82):
+            kinds.add(kind)
+            degrees = preserved_degree(problem)
+            for tau in sorted(set(degrees.values()) | {-1}):
+                single = solve_lowdeg_tree(problem, tau)
+                assert single.deleted_facts == full_scan_lowdeg(problem, tau)
+            sweep = solve_lowdeg_tree_sweep(problem)
+            assert sweep.deleted_facts == full_scan_sweep(problem)
+        assert {"chain", "star", "forest", "shared-facts"} <= kinds

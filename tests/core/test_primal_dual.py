@@ -126,3 +126,188 @@ class TestPruning:
                     for vt in problem.deleted_view_tuples()
                 )
                 assert not still_feasible, "reverse-delete left redundancy"
+
+
+# ----------------------------------------------------------------------
+# ΔV-local restriction vs. the full scan
+# ----------------------------------------------------------------------
+
+
+def full_scan_primal_dual(problem, allowed_facts=None, preserved_weights=None):
+    """Reference twin: Algorithm 1 with capacities over every fact of
+    every preserved witness and zero-capacity seeding over all of them.
+    Returns ``(ΔD, dual values, capacities)``."""
+    from repro.core.session import SolveSession
+
+    session = SolveSession.of(problem)
+    witnesses, depth = session.witness_map(), session.dual_depths()
+    delta = problem.deleted_view_tuples()
+    allowed = None if allowed_facts is None else frozenset(allowed_facts)
+
+    def weight_of(vt):
+        if preserved_weights is not None and vt in preserved_weights:
+            return preserved_weights[vt]
+        return problem.weight(vt)
+
+    capacity = {}
+    for vt in problem.preserved_view_tuples():
+        witness = witnesses[vt]
+        share = weight_of(vt) / len(witness)
+        for fact in witness:
+            capacity[fact] = capacity.get(fact, 0.0) + share
+    for vt in delta:
+        for fact in witnesses[vt]:
+            capacity.setdefault(fact, 0.0)
+    residual = {
+        fact: cap if allowed is None or fact in allowed else float("inf")
+        for fact, cap in capacity.items()
+    }
+    if allowed is not None:
+        for vt in delta:
+            if not witnesses[vt] & allowed:
+                raise StructureError("restricted instance is infeasible")
+    deleted = [fact for fact in sorted(residual) if residual[fact] <= 1e-12]
+    deleted_set = set(deleted)
+    ordered = sorted(
+        delta, key=lambda vt: (min(depth[f] for f in witnesses[vt]), vt)
+    )
+    dual = {}
+    for vt in ordered:
+        witness = witnesses[vt]
+        if witness & deleted_set:
+            continue
+        raisable = min(residual[f] for f in witness)
+        if raisable == float("inf"):
+            raise StructureError("cannot saturate under the restriction")
+        dual[vt] = dual.get(vt, 0.0) + raisable
+        for fact in sorted(witness):
+            if residual[fact] != float("inf"):
+                residual[fact] -= raisable
+                if residual[fact] <= 1e-12 and fact not in deleted_set:
+                    deleted.append(fact)
+                    deleted_set.add(fact)
+    needed = set(deleted_set)
+    for fact in reversed(deleted):
+        trial = needed - {fact}
+        if all(witnesses[vt] & trial for vt in delta):
+            needed = trial
+    return frozenset(needed), dual, capacity
+
+
+def forest_duel_cases(seed: int, per_kind: int):
+    """``(kind, problem)`` for every fuzz kind whose cases Algorithms
+    1 and 3 accept (key-preserving, sj-free forest case with ΔV)."""
+    from repro.core.session import SolveSession
+    from repro.fuzz.generator import CASE_KINDS, make_case
+
+    rng = random.Random(seed)
+    for kind in CASE_KINDS:
+        kept = 0
+        for _ in range(per_kind * 4):
+            problem = make_case(kind, rng).problem
+            profile = SolveSession.of(problem).profile
+            if (
+                profile.key_preserving
+                and profile.forest_case
+                and profile.self_join_free
+                and not profile.empty_delta
+            ):
+                yield kind, problem
+                kept += 1
+                if kept == per_kind:
+                    break
+
+
+def reweighted(problem, weights):
+    """``problem`` with the given preserved-tuple weights."""
+    from repro.core.problem import DeletionPropagationProblem
+
+    deletions = {}
+    for vt in problem.deleted_view_tuples():
+        deletions.setdefault(vt.view, []).append(vt.values)
+    return DeletionPropagationProblem(
+        problem.instance, problem.queries, deletions, weights=weights
+    )
+
+
+class TestDeltaLocal:
+    """Algorithm 1 reads only the ΔV candidate facts' dependents; its
+    ΔD, duals and candidate capacities equal the full scan's, bit for
+    bit."""
+
+    def assert_same(self, problem, **kwargs):
+        trace = PrimalDualTrace()
+        try:
+            expected = full_scan_primal_dual(problem, **kwargs)
+        except StructureError:
+            with pytest.raises(StructureError):
+                solve_primal_dual(problem, trace=trace, **kwargs)
+            return
+        sol = solve_primal_dual(problem, trace=trace, **kwargs)
+        deleted, dual, capacity = expected
+        assert sol.deleted_facts == deleted
+        assert trace.dual_values == dual
+        assert set(trace.capacities) == set(problem.candidate_facts())
+        for fact, cap in trace.capacities.items():
+            assert cap == capacity[fact]
+
+    def test_every_forest_duel_fuzz_kind(self):
+        kinds = set()
+        for kind, problem in forest_duel_cases(seed=71, per_kind=12):
+            kinds.add(kind)
+            self.assert_same(problem)
+        assert {"chain", "star", "forest", "shared-facts"} <= kinds
+        assert {"weight-ties", "single-delta", "balanced"} <= kinds
+
+    def test_fractional_and_zero_weights(self):
+        rng = random.Random(72)
+        for _, problem in forest_duel_cases(seed=73, per_kind=4):
+            weights = {
+                vt: rng.choice((0.0, 0.1, 1 / 3, 0.7, 2.5))
+                for vt in problem.preserved_view_tuples()
+            }
+            self.assert_same(reweighted(problem, weights))
+
+    def test_preserved_weight_overrides(self):
+        rng = random.Random(74)
+        for _, problem in forest_duel_cases(seed=75, per_kind=4):
+            override = {
+                vt: rng.choice((0.0, 0.3, 1.7))
+                for vt in problem.preserved_view_tuples()
+                if rng.random() < 0.5
+            }
+            self.assert_same(problem, preserved_weights=override)
+
+    def test_allowed_fact_restrictions(self):
+        rng = random.Random(76)
+        for _, problem in forest_duel_cases(seed=77, per_kind=4):
+            candidates = problem.candidate_facts()
+            for share in (0.3, 0.7, 1.0):
+                allowed = [f for f in candidates if rng.random() < share]
+                # Facts outside every ΔV witness change nothing.
+                allowed += list(problem.instance)[:3]
+                self.assert_same(problem, allowed_facts=allowed)
+
+    def test_zero_capacity_fact_outside_delta_witnesses(self):
+        rng = random.Random(78)
+        seen = 0
+        for problem in (random_chain_problem(rng) for _ in range(10)):
+            candidates = set(problem.candidate_facts())
+            outside = {
+                vt: 0.0
+                for vt in problem.preserved_view_tuples()
+                if not problem.witness(vt) & candidates
+            }
+            if not outside:
+                continue
+            _, _, capacity = full_scan_primal_dual(
+                problem, preserved_weights=outside
+            )
+            zero_outside = [
+                f
+                for f, cap in capacity.items()
+                if cap == 0.0 and f not in candidates
+            ]
+            seen += bool(zero_outside)
+            self.assert_same(problem, preserved_weights=outside)
+        assert seen

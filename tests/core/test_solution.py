@@ -132,3 +132,41 @@ class TestCrossValidation:
     def test_summary_mentions_feasibility(self, problem):
         sol = Propagation(problem, ())
         assert "INFEASIBLE" in sol.summary()
+
+
+_RENDER_WEIGHTED = """
+import json, random
+from repro.core import solve
+from repro.io.serialize import solution_to_dict
+from repro.workloads import random_chain_problem
+rng = random.Random(7)
+docs = [
+    solution_to_dict(solve(random_chain_problem(rng, weighted=True)))
+    for _ in range(60)
+]
+print(json.dumps(docs, sort_keys=True))
+"""
+
+
+def test_weighted_documents_independent_of_hash_seed():
+    """Float objectives fold over frozensets; the rendered solution
+    must not depend on their iteration order, i.e. on the interpreter's
+    hash seed (a served answer is compared byte for byte with a local
+    one solved in another process)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _RENDER_WEIGHTED],
+            capture_output=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            timeout=120,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
