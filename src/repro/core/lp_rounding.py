@@ -60,23 +60,14 @@ def solve_lp_rounding(problem: DeletionPropagationProblem) -> Propagation:
         return Propagation(problem, (), method="lp-rounding")
     solution = primal_vse_lp(problem).solve()
     threshold = 1.0 / max(1, problem.max_arity)
-    deleted: list[Fact] = []
-    for name, value in solution.values.items():
-        kind, payload = name
-        if kind == "y" and value >= threshold - 1e-12:
-            deleted.append(payload)
-    deleted.sort()
-
-    # Reverse-delete prune: drop deletions not needed for feasibility.
-    needed = set(deleted)
-    witnesses = {
-        vt: problem.witness(vt) for vt in problem.deleted_view_tuples()
+    deleted = {
+        payload
+        for (kind, payload), value in solution.values.items()
+        if kind == "y" and value >= threshold - 1e-12
     }
-    for fact in reversed(deleted):
-        trial = needed - {fact}
-        if all(witness & trial for witness in witnesses.values()):
-            needed = trial
-    return Propagation(problem, needed, method="lp-rounding")
+    return Propagation(
+        problem, _prune(problem, deleted), method="lp-rounding"
+    )
 
 
 def lp_rounding_bound(problem: DeletionPropagationProblem) -> float:

@@ -6,9 +6,17 @@ several solving strategies on the same problem concurrently and keep
 the best feasible propagation, or push a batch of ΔV requests against
 one shared instance through worker processes.
 
+Both are one kind of work.  A **job** is ``(method, deletions)``: a
+portfolio strategy solves the whole problem (``deletions`` is
+``None``), a batch request rebinds its own ΔV first.
+:func:`_solve_job` runs one job, in a worker or in-process, into one
+:class:`Outcome`; :func:`_run_jobs` runs a list of them, serially or on
+the supervised pool.  :func:`run_portfolio` and :func:`run_delta_batch`
+only build the job list.
+
 Processes, not threads — the solvers are pure Python and hold the GIL,
-so ``ProcessPoolExecutor`` is the only way the strategies actually
-overlap.  The problem reaches the workers through two channels:
+so ``ProcessPoolExecutor`` is the only way the jobs actually overlap.
+The problem reaches the workers through two channels:
 
 * **Shared memory** (the fast path): the parent exports its compiled
   arena once (:meth:`repro.core.session.SolveSession.export_shm`) and
@@ -29,12 +37,13 @@ attach (or compile) per worker instead of one per task.  The document
 itself is cached on the parent's session, so repeated batches against
 one instance serialize it once, and serial in-process runs skip the
 doc round-trip entirely.
-Workers return plain ``(relation, values)`` pairs; the parent rebuilds
-:class:`~repro.core.solution.Propagation` objects against its own
-problem, so the public surface stays object-level.  In-process runs
-carry the solved :class:`~repro.core.solution.Propagation` straight
-through instead: no second ΔV rebind, no re-validation, and the
-accounting the solve already computed is reused by whoever renders it.
+A worker ships its answer as ``(relation, values)`` pairs, which the
+runner rebuilds into a :class:`~repro.core.solution.Propagation`
+against its own problem, so the public surface stays object-level.  An
+in-process job hands over the solved propagation itself instead: no
+second ΔV rebind, no re-validation, and the accounting the solve
+already computed is reused by whoever renders it.  Attempt records
+cross the process boundary as they are (they are frozen dataclasses).
 
 The pool is **supervised** rather than fire-and-forget: tasks run as
 individual futures with per-task timeouts instead of one opaque
@@ -69,7 +78,7 @@ The supervisor in :func:`_run_supervised`:
   so ``--trace`` shows crashes, timeouts, and re-dispatches.
 
 When the pool cannot be used at all (``max_workers=0``, a single
-strategy, or an executor that fails to start — e.g. a sandbox without
+job, or an executor that fails to start — e.g. a sandbox without
 process semaphores) the same work runs serially in-process with
 identical results; the portfolio is a throughput knob, never a
 semantics knob.
@@ -89,8 +98,8 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import SolverError
 from repro.relational.tuples import Fact
@@ -100,6 +109,7 @@ from repro.core.solution import Propagation
 
 __all__ = [
     "DEFAULT_PORTFOLIO",
+    "Outcome",
     "PortfolioResult",
     "DeltaOutcome",
     "run_portfolio",
@@ -130,26 +140,32 @@ _MAX_RESPAWNS = 3
 #: is in flight.
 _TIMEOUT_GRACE = 0.5
 
-#: ``(key, wall_seconds, answer | None, error | None, attempt_dicts,
-#: route | None)`` — what worker tasks and their serial twins return.
-#: ``answer`` is a facts payload from a worker process and the solved
-#: :class:`Propagation` itself from an in-process twin (see
-#: :func:`_bind`).  ``route`` is the dispatch route the report took
-#: (``forced:<method>``, a route-table name, ``degraded:<method>``), so
-#: the serve tier's per-route histogram sees pool runs too.
-RawOutcome = tuple[
-    object, float, list | Propagation | None, str | None, list, str | None
-]
+#: One job: ``(method, deletions)``, where ``deletions`` is a ΔV
+#: request (``{view: [values, ...]}``) or ``None`` for the whole
+#: problem.
+Job = tuple[str, Mapping[str, Sequence[Sequence[object]]] | None]
 
 
 @dataclass(frozen=True)
-class PortfolioResult:
-    """One strategy's outcome inside a portfolio run.
+class Outcome:
+    """One job's outcome: a portfolio strategy or one ΔV request.
+
+    ``propagation`` is labelled with the run's ``method`` and bound to
+    the run's problem (a portfolio strategy) or to a variant carrying
+    the request's own ΔV (a batch request); ``error`` carries the
+    failure text when the job could not be solved (unknown view tuple,
+    solver error, lost worker, ...).  Exactly one of the two is set.
+    Between a pool worker and the runner, ``propagation`` holds the
+    answer's ``(relation, values)`` pairs instead; callers never see
+    that form.
 
     ``attempts`` is the resilience trace: policy attempts made inside
-    the worker plus any supervision events (crash, timeout,
-    re-dispatch) observed by the parent.  Empty for an undisturbed
-    run without a policy.
+    the job plus any supervision events (crash, timeout, re-dispatch)
+    observed by the parent.  Empty for an undisturbed run without a
+    policy.  ``route`` is the dispatch route taken
+    (``forced:<method>``, a route-table name, ``degraded:<method>``;
+    ``None`` on failure), so the serve tier's per-route histogram sees
+    pool runs too.  ``index`` is the job's position in its run.
     """
 
     method: str
@@ -157,35 +173,16 @@ class PortfolioResult:
     wall_seconds: float
     error: str | None = None
     attempts: tuple[AttemptRecord, ...] = ()
-    route: str | None = None  #: dispatch route taken (None on failure)
+    route: str | None = None
+    index: int = 0
 
     @property
     def ok(self) -> bool:
         return self.propagation is not None
 
 
-@dataclass(frozen=True)
-class DeltaOutcome:
-    """One ΔV request's outcome inside a batch run.
-
-    ``propagation`` is bound to a problem variant carrying the request's
-    own ΔV; ``error`` carries the failure text when the request could
-    not be solved (unknown view tuple, solver error, ...).  Exactly one
-    of the two is set.  ``attempts`` is the resilience trace (see
-    :class:`PortfolioResult`).
-    """
-
-    index: int
-    method: str
-    propagation: Propagation | None
-    wall_seconds: float
-    error: str | None = None
-    attempts: tuple[AttemptRecord, ...] = ()
-    route: str | None = None  #: dispatch route taken (None on failure)
-
-    @property
-    def ok(self) -> bool:
-        return self.propagation is not None
+#: The names the portfolio and the ΔV batch used for their outcomes.
+PortfolioResult = DeltaOutcome = Outcome
 
 
 # ----------------------------------------------------------------------
@@ -243,87 +240,68 @@ def _worker_problem() -> DeletionPropagationProblem:
     return _WORKER_PROBLEM
 
 
-def _facts_payload(propagation: Propagation) -> list[tuple[str, tuple]]:
-    return [
-        (fact.relation, fact.values)
-        for fact in sorted(propagation.deleted_facts)
-    ]
-
-
-def _error_attempts(exc: Exception) -> list[dict]:
-    """The policy attempt trace attached to a failed solve, as plain
-    dicts (they cross the process boundary)."""
-    records = getattr(exc, "attempts", None) or []
-    return [record.as_dict() for record in records]
-
-
-def _raw_outcome(
-    key: object, solve: Callable[[], Any], in_process: bool = False
-) -> RawOutcome:
-    """Run ``solve`` (returning a ``SolveReport``) into a raw outcome.
-
-    Solver errors travel as text — they are data here.  A worker task
-    ships the answer as a facts payload; an ``in_process`` twin hands
-    over the solved propagation itself."""
-    start = time.perf_counter()
-    try:
-        report = solve()
-    except Exception as exc:
-        return (
-            key,
-            time.perf_counter() - start,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            _error_attempts(exc),
-            None,
-        )
-    propagation = report.propagation
-    return (
-        key,
-        time.perf_counter() - start,
-        propagation if in_process else _facts_payload(propagation),
-        None,
-        [record.as_dict() for record in report.attempts],
-        report.route,
-    )
-
-
-def _solve_method_task(
-    method: str, policy: SolvePolicy | None = None
-) -> RawOutcome:
-    """Worker task: solve the cached problem with one strategy."""
-    from repro.core.faultinject import maybe_inject
-    from repro.core.registry import solve_report
-
-    def solve():
-        maybe_inject("portfolio", method)
-        return solve_report(_worker_problem(), method=method, policy=policy)
-
-    return _raw_outcome(method, solve)
-
-
-def _solve_delta_task(
+def _solve_job(
     index: int,
-    deletions: Mapping[str, list],
     method: str,
-    policy: SolvePolicy | None = None,
-) -> RawOutcome:
-    """Worker task: solve one ΔV request against the cached instance.
+    deletions: Mapping[str, Sequence[Sequence[object]]] | None,
+    policy: SolvePolicy | None,
+    problem: DeletionPropagationProblem | None = None,
+) -> Outcome:
+    """Solve job ``index``: the whole problem, or its ΔV ``deletions``
+    rebound onto it, with ``method`` under ``policy``.
 
-    The base problem is reconstructed once per worker (compile-once) and
-    each request rebinds only the ΔV via
-    :meth:`~repro.core.problem.DeletionPropagationProblem.with_deletions`
-    — no per-task document parse, no view re-materialization.
+    With ``problem=None`` the job runs in a pool worker against the
+    worker's cached problem and ships its answer as ``(relation,
+    values)`` pairs.  With an explicit ``problem`` it runs in-process
+    and hands over the solved propagation itself, relabelled; it never
+    touches the worker-global cache (a parent that is itself a pool
+    worker would otherwise have its cached problem clobbered).
+
+    Everything, the ΔV rebind included, runs inside one ``try``: a
+    malformed request or a solver error becomes this job's error text
+    (errors are data here) and never fails the rest of its run.  The
+    fault site ``delta:<index>`` fires wherever a request runs;
+    ``portfolio:<method>`` fires in workers only.
     """
     from repro.core.faultinject import maybe_inject
     from repro.core.registry import solve_report
 
-    def solve():
-        maybe_inject("delta", index)
-        problem = _worker_problem().with_deletions(deletions)
-        return solve_report(problem, method=method, policy=policy)
-
-    return _raw_outcome(index, solve)
+    start = time.perf_counter()
+    try:
+        if deletions is not None:
+            maybe_inject("delta", index)
+        elif problem is None:
+            maybe_inject("portfolio", method)
+        target = _worker_problem() if problem is None else problem
+        if deletions is not None:
+            target = target.with_deletions(deletions)
+        report = solve_report(target, method=method, policy=policy)
+    except Exception as exc:
+        return Outcome(
+            method,
+            None,
+            time.perf_counter() - start,
+            f"{type(exc).__name__}: {exc}",
+            tuple(getattr(exc, "attempts", None) or ()),
+            index=index,
+        )
+    seconds = time.perf_counter() - start
+    propagation = report.propagation
+    if problem is None:
+        answer: Any = [
+            (fact.relation, fact.values)
+            for fact in sorted(propagation.deleted_facts)
+        ]
+    else:
+        answer = propagation.relabeled(method)
+    return Outcome(
+        method,
+        answer,
+        seconds,
+        attempts=tuple(report.attempts),
+        route=report.route,
+        index=index,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -333,35 +311,41 @@ def _solve_delta_task(
 
 @dataclass
 class _Task:
-    """Supervisor bookkeeping for one unit of pool work."""
+    """Supervisor bookkeeping for one job; ``args`` are
+    :func:`_solve_job`'s ``(index, method, deletions, policy)``."""
 
-    key: object  #: method name or request index (the raw outcome's key)
-    fn: Callable[..., RawOutcome]
     args: tuple
-    serial: Callable[[], RawOutcome]  #: in-parent twin for crash fallback
     dispatches: int = 0
     timed_out: bool = False
     crashed: bool = False  #: saw its worker process die at least once
     events: list[AttemptRecord] = field(default_factory=list)
 
     def record(self, outcome: str, cause: str) -> None:
+        index, method, deletions, _ = self.args
         self.events.append(
             AttemptRecord(
-                method=str(self.key),
+                method=method if deletions is None else str(index),
                 outcome=outcome,
                 attempt=self.dispatches - 1,
                 cause=cause,
             )
         )
 
-    def merged(self, raw: RawOutcome) -> RawOutcome:
-        """Prepend this task's supervision events to a raw outcome's
+    def merged(self, outcome: Outcome) -> Outcome:
+        """Prepend this task's supervision events to an outcome's
         attempt trace."""
         if not self.events:
-            return raw
-        key, seconds, payload, error, attempts, route = raw
-        events = [record.as_dict() for record in self.events]
-        return key, seconds, payload, error, events + list(attempts), route
+            return outcome
+        return replace(
+            outcome, attempts=(*self.events, *outcome.attempts)
+        )
+
+    def failed(self, seconds: float, error: str) -> Outcome:
+        """An error outcome carrying this task's supervision events."""
+        index, method, _, _ = self.args
+        return Outcome(
+            method, None, seconds, error, tuple(self.events), index=index
+        )
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -382,41 +366,26 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _timeout_outcome(task: _Task, task_timeout: float) -> RawOutcome:
-    return task.merged(
-        (
-            task.key,
-            task_timeout,
-            None,
-            f"task exceeded its {task_timeout:.3f}s dispatch timeout "
-            f"{task.dispatches} time(s)",
-            [],
-            None,
-        )
+def _timeout_outcome(task: _Task, task_timeout: float) -> Outcome:
+    return task.failed(
+        task_timeout,
+        f"task exceeded its {task_timeout:.3f}s dispatch timeout "
+        f"{task.dispatches} time(s)",
     )
 
 
-def _crash_outcome(task: _Task, cause: str) -> RawOutcome:
-    return task.merged(
-        (
-            task.key,
-            0.0,
-            None,
-            f"task lost its worker process in {task.dispatches} "
-            f"dispatch(es) ({cause}); refusing in-process re-run of a "
-            "crash suspect",
-            [],
-            None,
-        )
+def _crash_outcome(task: _Task, cause: str) -> Outcome:
+    return task.failed(
+        0.0,
+        f"task lost its worker process in {task.dispatches} "
+        f"dispatch(es) ({cause}); refusing in-process re-run of a "
+        "crash suspect",
     )
 
 
 def _run_quarantined(
-    doc: Mapping[str, Any],
-    task: _Task,
-    task_timeout: float | None,
-    manifest: Mapping[str, Any] | None = None,
-) -> RawOutcome:
+    initargs: tuple, task: _Task, task_timeout: float | None
+) -> Outcome:
     """Last dispatch for a crash-lost task, on an isolated
     single-worker pool.
 
@@ -433,13 +402,15 @@ def _run_quarantined(
     task.record("quarantine", "dispatch budget exhausted")
     try:
         pool = ProcessPoolExecutor(
-            max_workers=1, initializer=_init_worker, initargs=(doc, manifest)
+            max_workers=1, initializer=_init_worker, initargs=initargs
         )
     except (OSError, PermissionError):
         task.dispatches -= 1
         return _crash_outcome(task, "no process primitives for quarantine")
     try:
-        raw = pool.submit(task.fn, *task.args).result(timeout=task_timeout)
+        outcome = pool.submit(_solve_job, *task.args).result(
+            timeout=task_timeout
+        )
     except FuturesTimeoutError:
         task.timed_out = True
         _kill_pool(pool)
@@ -448,26 +419,30 @@ def _run_quarantined(
         _kill_pool(pool)
         return _crash_outcome(task, f"{type(exc).__name__}: {exc}")
     pool.shutdown()
-    return task.merged(raw)
+    return task.merged(outcome)
 
 
 def _run_supervised(
-    doc: Mapping[str, Any],
+    problem: DeletionPropagationProblem,
+    initargs: tuple,
     tasks: Sequence[_Task],
     max_workers: int,
     task_timeout: float | None,
-    manifest: Mapping[str, Any] | None = None,
-) -> list[RawOutcome]:
+) -> list[Outcome]:
     """Run ``tasks`` on a supervised process pool; one outcome per task.
 
-    See the module docstring for the recovery contract.  ``task_timeout``
-    of ``None`` disables hang detection (there is no deadline to judge
-    "hung" against).
+    See the module docstring for the recovery contract.  ``initargs``
+    are the workers' ``(doc, manifest)``; ``problem`` runs the serial
+    fallbacks in-process.  ``task_timeout`` of ``None`` disables hang
+    detection (there is no deadline to judge "hung" against).
     """
-    results: dict[int, RawOutcome] = {}
+    results: dict[int, Outcome] = {}
     pending: list[tuple[int, _Task]] = list(enumerate(tasks))
     budget = 1 + _LOST_RETRIES
     respawns = 0
+
+    def serial(task: _Task) -> Outcome:
+        return task.merged(_solve_job(*task.args, problem=problem))
 
     def finalize_lost(slot: int, task: _Task) -> None:
         """A task out of dispatch budget (or out of pool respawns)."""
@@ -477,12 +452,10 @@ def _run_supervised(
         elif task.crashed:
             # Re-running a crash suspect in the parent process could
             # kill the parent; quarantine it on a throwaway pool.
-            results[slot] = _run_quarantined(
-                doc, task, task_timeout, manifest=manifest
-            )
+            results[slot] = _run_quarantined(initargs, task, task_timeout)
         else:
             task.record("serial-fallback", "dispatch budget exhausted")
-            results[slot] = task.merged(task.serial())
+            results[slot] = serial(task)
 
     def requeue(slot: int, task: _Task, outcome: str, cause: str) -> None:
         task.record(outcome, cause)
@@ -500,13 +473,13 @@ def _run_supervised(
             pool = ProcessPoolExecutor(
                 max_workers=max_workers,
                 initializer=_init_worker,
-                initargs=(doc, manifest),
+                initargs=initargs,
             )
         except (OSError, PermissionError):
             # No usable process primitives (restricted sandboxes): same
             # work, same results, one process.
             for slot, task in pending:
-                results[slot] = task.merged(task.serial())
+                results[slot] = serial(task)
             break
 
         in_flight: dict[Any, tuple[int, _Task]] = {}
@@ -529,7 +502,7 @@ def _run_supervised(
                 slot, task = queue.pop(0)
                 task.dispatches += 1
                 try:
-                    future = pool.submit(task.fn, *task.args)
+                    future = pool.submit(_solve_job, *task.args)
                 except Exception:
                     # This dispatch never started.
                     task.dispatches -= 1
@@ -656,68 +629,57 @@ def _rebuild(
     return Propagation(problem, facts, method=method)
 
 
-def _bind(
-    answer: list | Propagation,
-    method: str,
-    problem: Callable[[], DeletionPropagationProblem],
-) -> Propagation:
-    """An outcome's propagation under the run's ``method`` label.
-
-    An in-process solve's propagation is carried straight through,
-    keeping its cached accounting; only a pool worker's facts payload
-    is rebuilt, against ``problem()`` (called only then)."""
-    if isinstance(answer, Propagation):
-        return answer.relabeled(method)
-    return _rebuild(problem(), method, answer)
-
-
-def _portfolio_result(
-    problem: DeletionPropagationProblem, raw: RawOutcome
-) -> PortfolioResult:
-    method, seconds, answer, error, attempts, route = raw
-    records = _attempt_records(attempts)
-    if answer is None:
-        return PortfolioResult(method, None, seconds, error, attempts=records)
-    return PortfolioResult(
-        method,
-        _bind(answer, method, lambda: problem),
-        seconds,
-        attempts=records,
-        route=route,
-    )
-
-
-def _attempt_records(attempts: Iterable[dict]) -> tuple[AttemptRecord, ...]:
-    return tuple(AttemptRecord.from_dict(doc) for doc in attempts)
-
-
-def _solve_method_serial(
+def _run_jobs(
     problem: DeletionPropagationProblem,
-    method: str,
-    policy: SolvePolicy | None = None,
-) -> RawOutcome:
-    """In-process twin of :func:`_solve_method_task` bound to an
-    explicit problem (must not touch the worker-global cache)."""
-    from repro.core.registry import solve_report
+    jobs: Sequence[Job],
+    max_workers: int | None,
+    policy: SolvePolicy | None,
+) -> list[Outcome]:
+    """Run ``jobs`` against ``problem``; one :class:`Outcome` per job,
+    in order.
 
-    return _raw_outcome(
-        method,
-        lambda: solve_report(problem, method=method, policy=policy),
-        in_process=True,
-    )
-
-
-def _run_serial(
-    problem: DeletionPropagationProblem,
-    methods: Sequence[str],
-    policy: SolvePolicy | None = None,
-) -> list[PortfolioResult]:
-    return [
-        _portfolio_result(
-            problem, _solve_method_serial(problem, method, policy)
-        )
-        for method in methods
+    Jobs run in a supervised process pool when ``max_workers`` permits
+    (default: one worker per job, capped at the CPU count) and serially
+    in-process otherwise, or when there is a single job.  ``policy``
+    applies the resilience contract to every job; its deadline also
+    arms the supervisor's hang detection (deadline + grace per
+    dispatch).
+    """
+    if max_workers is None:
+        max_workers = min(len(jobs), os.cpu_count() or 1)
+    # Compile the shared base once up front: in-process jobs and the
+    # rebuilds of pool answers rebind ΔV against this session's arena
+    # instead of recompiling per request.
+    session = _prime_session(problem)
+    args = [
+        (index, method, deletions, policy)
+        for index, (method, deletions) in enumerate(jobs)
     ]
+    if max_workers <= 0 or len(jobs) <= 1:
+        # In-process execution never touches the JSON document.
+        return [_solve_job(*job, problem=problem) for job in args]
+
+    outcomes = _run_supervised(
+        problem,
+        (session.document, _session_manifest(session)),
+        [_Task(job) for job in args],
+        max_workers,
+        _policy_task_timeout(policy),
+    )
+    bound = []
+    for outcome, (method, deletions) in zip(outcomes, jobs):
+        if outcome.ok and not isinstance(outcome.propagation, Propagation):
+            variant = (
+                problem
+                if deletions is None
+                else problem.with_deletions(deletions)
+            )
+            outcome = replace(
+                outcome,
+                propagation=_rebuild(variant, method, outcome.propagation),
+            )
+        bound.append(outcome)
+    return bound
 
 
 def run_portfolio(
@@ -725,54 +687,23 @@ def run_portfolio(
     methods: Sequence[str] = DEFAULT_PORTFOLIO,
     max_workers: int | None = None,
     policy: SolvePolicy | None = None,
-) -> list[PortfolioResult]:
+) -> list[Outcome]:
     """Solve ``problem`` with every strategy in ``methods``.
 
-    Strategies run in a supervised process pool when ``max_workers``
-    permits (default: one worker per strategy, capped at the CPU count)
-    and serially otherwise.  ``policy`` applies the full resilience
-    contract to every strategy: its deadline also arms the supervisor's
-    hang detection (deadline + grace per dispatch).  Returns one
-    :class:`PortfolioResult` per strategy in input order; strategies
-    that raised carry their error text instead of a propagation.
+    Returns one :class:`Outcome` per distinct strategy in input order;
+    strategies that raised carry their error text instead of a
+    propagation.  See :func:`_run_jobs` for ``max_workers`` and
+    ``policy``.
     """
     methods = list(dict.fromkeys(methods))  # dedupe, keep order
     if not methods:
         raise SolverError("portfolio needs at least one method")
-    if max_workers is None:
-        max_workers = min(len(methods), os.cpu_count() or 1)
-    if max_workers <= 0 or len(methods) == 1:
-        return _run_serial(problem, methods, policy=policy)
-
-    session = _prime_session(problem)
-    doc = session.document
-    manifest = _session_manifest(session)
-    tasks = [
-        _Task(
-            key=method,
-            fn=_solve_method_task,
-            args=(method, policy),
-            serial=(
-                lambda method=method: _solve_method_serial(
-                    problem, method, policy
-                )
-            ),
-        )
-        for method in methods
-    ]
-    raw = _run_supervised(
-        doc,
-        tasks,
-        max_workers=max_workers,
-        task_timeout=_policy_task_timeout(policy),
-        manifest=manifest,
+    return _run_jobs(
+        problem, [(method, None) for method in methods], max_workers, policy
     )
 
-    by_method = {outcome[0]: outcome for outcome in raw}
-    return [_portfolio_result(problem, by_method[method]) for method in methods]
 
-
-def best_result(results: Iterable[PortfolioResult]) -> PortfolioResult:
+def best_result(results: Iterable[Outcome]) -> Outcome:
     """The winning entry: best objective, then fewest deletions, then
     method name (deterministic across pool scheduling orders)."""
     ranked = [r for r in results if r.ok]
@@ -812,30 +743,6 @@ def solve_portfolio(
     return winner.propagation
 
 
-def _solve_delta_serial(
-    problem: DeletionPropagationProblem,
-    index: int,
-    deletions: Mapping[str, list],
-    method: str,
-    policy: SolvePolicy | None = None,
-) -> RawOutcome:
-    """In-process twin of :func:`_solve_delta_task` bound to an explicit
-    problem — the serial fallback must not touch the module-level
-    ``_WORKER_DOC`` / ``_WORKER_PROBLEM`` cache, which belongs to worker
-    processes (a parent that is itself a pool worker would otherwise
-    have its cached problem clobbered).  The ΔV is rebound here once;
-    the solved propagation stays bound to that variant."""
-    from repro.core.faultinject import maybe_inject
-    from repro.core.registry import solve_report
-
-    def solve():
-        maybe_inject("delta", index)
-        variant = problem.with_deletions(deletions)
-        return solve_report(variant, method=method, policy=policy)
-
-    return _raw_outcome(index, solve, in_process=True)
-
-
 def run_delta_batch(
     problem: DeletionPropagationProblem,
     requests: Sequence[Mapping[str, Sequence[Sequence[object]]]],
@@ -843,91 +750,28 @@ def run_delta_batch(
     max_workers: int | None = None,
     strict: bool = False,
     policy: SolvePolicy | None = None,
-) -> list[DeltaOutcome]:
+) -> list[Outcome]:
     """Solve a batch of ΔV requests against one shared instance.
 
     Each request is a ``{view: [values, ...]}`` mapping like the
     ``deletions`` field of a problem document.  The instance, queries
-    and weights are shipped to the workers once; each task re-binds only
-    the deletion set.  Returns one :class:`DeltaOutcome` per request, in
-    order; a request that fails (unknown view tuple, solver error)
-    carries its error text instead of aborting the batch, so every
-    completed propagation survives one bad request — including requests
-    lost to a crashed or hung worker, which the pool supervisor
+    and weights are shipped to the workers once; each job re-binds only
+    the deletion set.  Returns one :class:`Outcome` per request, in
+    order; a request that fails (malformed or unknown view tuple, solver
+    error) carries its error text instead of aborting the batch, so
+    every completed propagation survives one bad request — including
+    requests lost to a crashed or hung worker, which the pool supervisor
     re-dispatches (see the module docstring).  ``strict=True`` restores
     the historical behavior of raising :class:`SolverError` on the
-    first failed request.  ``policy`` applies the resilience contract
-    per request and arms hang detection with its deadline.
+    first failed request.  See :func:`_run_jobs` for ``max_workers``
+    and ``policy``.
     """
-    normalized = [
-        {name: [list(values) for values in rows] for name, rows in req.items()}
-        for req in requests
-    ]
-    if max_workers is None:
-        max_workers = min(len(normalized), os.cpu_count() or 1)
-
-    # Compile the shared base once up front: serial tasks and the
-    # parent-side rebuilds of pool answers rebind ΔV against this
-    # session's arena instead of recompiling per request.
-    session = _prime_session(problem)
-
-    raw: list[RawOutcome]
-    if max_workers <= 0 or len(normalized) <= 1:
-        # In-process execution never touches the JSON document.
-        raw = [
-            _solve_delta_serial(problem, i, req, method, policy)
-            for i, req in enumerate(normalized)
-        ]
-    else:
-        doc = session.document
-        manifest = _session_manifest(session)
-        tasks = [
-            _Task(
-                key=i,
-                fn=_solve_delta_task,
-                args=(i, req, method, policy),
-                serial=(
-                    lambda i=i, req=req: _solve_delta_serial(
-                        problem, i, req, method, policy
-                    )
-                ),
-            )
-            for i, req in enumerate(normalized)
-        ]
-        raw = _run_supervised(
-            doc,
-            tasks,
-            max_workers=max_workers,
-            task_timeout=_policy_task_timeout(policy),
-            manifest=manifest,
-        )
-
-    outcomes: list[DeltaOutcome] = []
-    for index, seconds, answer, error, attempts, route in sorted(
-        raw, key=lambda outcome: outcome[0]
-    ):
-        records = _attempt_records(attempts)
-        if answer is None:
-            if strict:
-                raise SolverError(f"request #{index} failed: {error}")
-            outcomes.append(
-                DeltaOutcome(
-                    index, method, None, seconds, error, attempts=records
+    jobs = [(method, request) for request in requests]
+    outcomes = _run_jobs(problem, jobs, max_workers, policy)
+    if strict:
+        for outcome in outcomes:
+            if not outcome.ok:
+                raise SolverError(
+                    f"request #{outcome.index} failed: {outcome.error}"
                 )
-            )
-            continue
-        outcomes.append(
-            DeltaOutcome(
-                index,
-                method,
-                _bind(
-                    answer,
-                    method,
-                    lambda: problem.with_deletions(normalized[index]),
-                ),
-                seconds,
-                attempts=records,
-                route=route,
-            )
-        )
     return outcomes

@@ -747,26 +747,45 @@ class SolveServer:
             raise ProtocolError("'priority' must be an integer")
         return priority
 
+    async def _solve(
+        self, message: dict, entry: _Registered, count: int, load: int, run
+    ) -> list[dict]:
+        """The path ``solve`` and ``solve_batch`` share.
+
+        Parses priority, method and policy; admits ``load`` (the soft
+        tier reads the *parsed* policy, so ``{}`` and ``null`` count as
+        none); routes under the breakers; then awaits ``run(method,
+        policy)`` for the ``count`` result documents and counts them.
+        """
+        priority = self._priority(message)
+        method = message.get("method", self.default_method)
+        if not isinstance(method, str):
+            raise ProtocolError("'method' must be a string")
+        policy = policy_from_doc(message.get("policy"))
+        self._admit(load, priority, policy is not None)
+        method, policy = self._apply_breakers(method, policy)
+        self._inflight_global += count
+        try:
+            results = await run(method, policy)
+        finally:
+            self._inflight_global -= count
+        entry.solves += count
+        self.stats.solves += count
+        self.stats.solve_errors += sum(1 for r in results if r.get("error"))
+        return results
+
     async def _op_solve(self, message: dict) -> dict:
         entry = self._entry(message)
         deletions = message.get("deletions")
         if not isinstance(deletions, dict):
             raise ProtocolError("solve needs a 'deletions' mapping")
-        priority = self._priority(message)
-        method = message.get("method", self.default_method)
-        policy = policy_from_doc(message.get("policy"))
         batcher = self._batcher(entry)
-        self._admit(batcher.load(), priority, policy is not None)
-        method, policy = self._apply_breakers(method, policy)
-        self._inflight_global += 1
-        try:
-            result = await batcher.submit(deletions, method, policy)
-        finally:
-            self._inflight_global -= 1
-        entry.solves += 1
-        self.stats.solves += 1
+
+        async def run(method, policy) -> list[dict]:
+            return [await batcher.submit(deletions, method, policy)]
+
+        (result,) = await self._solve(message, entry, 1, batcher.load(), run)
         if result.get("error"):
-            self.stats.solve_errors += 1
             return {"ok": False, "error": {"code": "solve-failed",
                                            "message": result["error"]},
                     "wall_seconds": result["wall_seconds"],
@@ -782,22 +801,15 @@ class SolveServer:
             raise ProtocolError(
                 "solve_batch needs a 'requests' list of deletion mappings"
             )
-        priority = self._priority(message)
-        self._admit(len(requests), priority, "policy" in message)
-        method = message.get("method", self.default_method)
-        policy = policy_from_doc(message.get("policy"))
-        method, policy = self._apply_breakers(method, policy)
-        self._inflight_global += len(requests)
-        try:
+
+        async def run(method, policy) -> list[dict]:
             async with entry.lock:
-                results = await asyncio.to_thread(
+                return await asyncio.to_thread(
                     self._execute, entry, requests, method, policy
                 )
-        finally:
-            self._inflight_global -= len(requests)
-        entry.solves += len(requests)
-        self.stats.solves += len(requests)
-        self.stats.solve_errors += sum(1 for r in results if r.get("error"))
+
+        count = len(requests)
+        results = await self._solve(message, entry, count, count, run)
         return {"ok": True, "results": results}
 
     async def _op_health(self, message: dict) -> dict:

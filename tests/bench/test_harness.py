@@ -150,3 +150,30 @@ class TestMarkdown:
     def test_render_handles_empty_rows(self):
         results = [ExperimentResult("E0", "t", "c").finish(True, "ok")]
         assert "(no rows)" in render_markdown(results)
+
+
+class TestE2ETraceHooks:
+    def test_traced_server_install_finds_every_hook(self):
+        # benchmarks/e2e/traced_server.py wraps program functions by
+        # module attribute; a renamed or removed target must fail here,
+        # not only in the minute-long e2e self-test.
+        root = Path(__file__).resolve().parents[2]
+        script = root / "benchmarks" / "e2e" / "traced_server.py"
+        code = (
+            "import importlib.util\n"
+            "spec = importlib.util.spec_from_file_location("
+            f"'traced_server', {str(script)!r})\n"
+            "module = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            "module.install()\n"
+            "from repro.core import portfolio\n"
+            "assert portfolio.ProcessPoolExecutor.__name__ == 'TracedPool'\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr

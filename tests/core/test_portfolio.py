@@ -194,6 +194,21 @@ class TestRunDeltaBatch:
             == outcomes[2].propagation.deleted_facts
         )
 
+    @pytest.mark.parametrize("max_workers", [0, 2])
+    def test_malformed_request_fails_only_itself(self, problem, max_workers):
+        # A ΔV whose rows are not a list of tuples is this request's
+        # error, not an exception out of the whole batch.
+        good = self._requests(problem, count=1)[0]
+        view = next(iter(good))
+        outcomes = run_delta_batch(
+            problem,
+            [good, {view: 5}, good],
+            method="greedy-min-damage",
+            max_workers=max_workers,
+        )
+        assert [o.ok for o in outcomes] == [True, False, True]
+        assert "TypeError" in outcomes[1].error
+
     def test_failed_request_preserves_order_in_pool(self, problem):
         good = self._requests(problem, count=1)[0]
         outcomes = run_delta_batch(

@@ -98,6 +98,39 @@ def test_admit_tiers():
     assert excinfo.value.code == "draining"
 
 
+def test_soft_shed_reads_the_parsed_policy():
+    """``solve`` and ``solve_batch`` decide the soft-tier exemption the
+    same way: from the parsed policy, so ``{}`` and ``null`` (both "no
+    policy") are shed while a real policy rides out the load."""
+    doc = _doc(18)
+
+    async def main():
+        server = _bare_server(max_pending=4, max_global_pending=8,
+                              soft_watermark=0.5, max_workers=0)
+        try:
+            instance, _ = server.register_document(doc)
+            server._inflight_global = 4  # at the soft global watermark
+            codes = []
+            for policy in ({}, None, {"deadline_seconds": 10.0}):
+                for request in (
+                    {"op": "solve", "deletions": doc["deletions"]},
+                    {"op": "solve_batch", "requests": [doc["deletions"]]},
+                ):
+                    response, _ = await server._dispatch(encode_message(
+                        {**request, "instance": instance, "policy": policy}
+                    ))
+                    codes.append(
+                        "ok" if response["ok"] else response["error"]["code"]
+                    )
+            return codes, server.stats.shed_soft
+        finally:
+            await server.close()
+
+    codes, shed_soft = asyncio.run(main())
+    assert codes == ["overloaded"] * 4 + ["ok"] * 2
+    assert shed_soft == 4
+
+
 def test_retry_after_hint_scales_with_depth():
     server = _bare_server(max_pending=10)
     shallow = server._retry_after_ms(1, 10)

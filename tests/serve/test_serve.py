@@ -280,3 +280,66 @@ def test_unregister_and_shutdown_release_segments(tmp_path):
     thread.join(timeout=30)
     # Everything the server exported in this process is released.
     assert set(active_segments()) == before
+
+
+def test_non_string_method_is_a_bad_request(tmp_path):
+    problem = _case_problem(45)
+    doc = problem_to_dict(problem)
+    address, thread = _serve(tmp_path)
+    try:
+        with ServeClient.connect(address) as client:
+            instance = client.register(doc)
+            for message in (
+                {"op": "solve", "deletions": doc["deletions"]},
+                {"op": "solve_batch", "requests": [doc["deletions"]]},
+            ):
+                with pytest.raises(ServeError) as excinfo:
+                    client.request(
+                        {**message, "instance": instance, "method": ["x"]}
+                    )
+                assert excinfo.value.code == "bad-request"
+                assert "method" in str(excinfo.value)
+            stats = client.stats()["stats"]
+            assert stats["internal_errors"] == 0
+            assert stats["protocol_errors"] == 2
+    finally:
+        with ServeClient.connect(address) as client:
+            client.shutdown()
+        thread.join(timeout=30)
+
+
+def test_malformed_request_fails_only_itself_in_a_coalesced_batch():
+    """Three concurrent solves share one micro-batch; the malformed ΔV
+    in the middle gets its own typed error while its neighbours
+    answer."""
+    problem = _case_problem(46)
+    doc = problem_to_dict(problem)
+    view = next(iter(doc["deletions"]))
+
+    async def main():
+        server = SolveServer(max_workers=0)
+        try:
+            instance, _ = server.register_document(doc)
+            responses = await asyncio.gather(
+                *(
+                    server._dispatch(encode_message({
+                        "op": "solve",
+                        "instance": instance,
+                        "deletions": deletions,
+                    }))
+                    for deletions in (doc["deletions"], {view: 5},
+                                      doc["deletions"])
+                )
+            )
+            return [response for response, _ in responses], server.stats
+        finally:
+            await server.close()
+
+    responses, stats = asyncio.run(main())
+    assert stats.batches == 1  # the three solves really coalesced
+    assert [response["ok"] for response in responses] == [True, False, True]
+    assert responses[1]["error"]["code"] == "solve-failed"
+    assert "TypeError" in responses[1]["error"]["message"]
+    assert responses[0]["solution"] == responses[2]["solution"]
+    assert stats.internal_errors == 0
+    assert stats.solve_errors == 1
