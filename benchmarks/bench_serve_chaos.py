@@ -231,14 +231,14 @@ def run(
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.bench import write_bench_json
+    from repro.bench import positive_int, write_bench_json
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--facts-per-relation", type=int, default=700)
-    parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--per-client", type=int, default=25)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--facts-per-relation", type=positive_int, default=700)
+    parser.add_argument("--clients", type=positive_int, default=4)
+    parser.add_argument("--per-client", type=positive_int, default=25)
+    parser.add_argument("--repeats", type=positive_int, default=3)
     parser.add_argument(
         "--out", default=".", help="directory for BENCH_serve_chaos.json"
     )

@@ -42,6 +42,7 @@ from repro.workloads import scaling_problem
 
 _MIN_SPEEDUP = 1.3
 _CARRIED_CONTEXT = (
+    "_arena_base",
     "_compiled_arena",
     "_dependents_base",
     "_session_base",

@@ -51,6 +51,25 @@ from repro.io.serialize import (
 __all__ = ["main", "build_parser"]
 
 
+def _int_at_least(minimum: int, what: str):
+    """``argparse`` type for a count that must be ``>= minimum``: a
+    degenerate value exits 2 with a one-line usage error instead of
+    starting something that can never work."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected a {what} integer, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -302,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--jobs",
-        type=int,
+        type=_int_at_least(0, "non-negative"),
         default=None,
         help=(
             "worker processes for pooled batches (default: CPU count; "
@@ -317,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--max-pending",
-        type=int,
+        type=_int_at_least(1, "positive"),
         default=1024,
         help="per-instance queue depth before solves are rejected",
     )

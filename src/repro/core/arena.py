@@ -390,8 +390,10 @@ class CompiledProblem:
         tuple views, and the weights carry over by reference; only the
         ``is_delta`` flags and the delta/candidate slices are rebuilt,
         so re-binding a request against a compiled base costs
-        O(‖V‖ + ‖ΔV‖) instead of a full recompile.  This is the arena
-        half of :meth:`~repro.core.problem.DeletionPropagationProblem.with_deletions`.
+        O(‖V‖ + ‖ΔV‖) instead of a full recompile.  :meth:`of` calls it
+        lazily for a
+        :meth:`~repro.core.problem.DeletionPropagationProblem.with_deletions`
+        sibling.
         """
         if problem.views is not self.problem.views:
             raise ValueError(
@@ -469,10 +471,14 @@ class CompiledProblem:
     @classmethod
     def of(cls, problem: DeletionPropagationProblem) -> "CompiledProblem":
         """The (cached) compiled form of ``problem`` — every solver that
-        asks for the same problem gets the same arena."""
+        asks for the same problem gets the same arena.  A
+        :meth:`~repro.core.problem.DeletionPropagationProblem.with_deletions`
+        sibling is :meth:`rebound` from the arena it recorded, on this
+        first request, instead of compiled."""
         compiled = getattr(problem, "_compiled_arena", None)
         if compiled is None or compiled.problem is not problem:
-            compiled = cls(problem)
+            base = getattr(problem, "_arena_base", None)
+            compiled = cls(problem) if base is None else base.rebound(problem)
             problem._compiled_arena = compiled
         return compiled
 

@@ -27,9 +27,17 @@ every fact costs 0 and the DP — which deletes only when that is
 *strictly* cheaper — deletes nothing there.  Skipping such components
 returns the same ``ΔD`` and makes a request cost O(‖ΔV‖ components)
 instead of O(‖V‖).
+
+The tree shape, the depths and the segments attributed to each bottom
+fact do not depend on ΔV either: each rooted component is compiled once
+per instance into index tables (:class:`_ComponentTable`, kept on the
+session's shared holder), and a request only prices its segments and
+runs the DP over list indices.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from repro.errors import NotKeyPreservingError, StructureError
 from repro.hypergraph.datadual import RootedComponent
@@ -80,74 +88,122 @@ def solve_dp_tree(problem: DeletionPropagationProblem) -> Propagation:
     return Propagation(problem, deleted, method="dp-tree")
 
 
+class _ComponentTable(NamedTuple):
+    """Algorithm 4's view of one rooted component as index tables.
+
+    Node ``i`` is the ``i``-th fact in post-order, so every child comes
+    before its parent and the root is the last node.  ``children[i]``
+    keeps the component's child order (the DP's addition order) and
+    ``segments[i]`` lists the ``(top depth, view tuple)`` of every
+    segment bottoming at node ``i``, in ``component.segments`` order.
+    None of it depends on ΔV, so it is compiled once per instance.
+    """
+
+    facts: tuple[Fact, ...]
+    depth: tuple[int, ...]
+    children: tuple[tuple[int, ...], ...]
+    segments: tuple[tuple[tuple[int, ViewTuple], ...], ...]
+
+
+def _compile_component(component: RootedComponent) -> _ComponentTable:
+    order = component.postorder()
+    node = {fact: i for i, fact in enumerate(order)}
+    depth = component.depth
+    segments: list[list[tuple[int, ViewTuple]]] = [[] for _ in order]
+    for segment in component.segments:
+        segments[node[segment.bottom]].append(
+            (depth[segment.top], segment.view_tuple)
+        )
+    return _ComponentTable(
+        facts=tuple(order),
+        depth=tuple(depth[fact] for fact in order),
+        children=tuple(
+            tuple(node[child] for child in component.children.get(fact, ()))
+            for fact in order
+        ),
+        segments=tuple(map(tuple, segments)),
+    )
+
+
+def _component_table(
+    problem: DeletionPropagationProblem, component: RootedComponent
+) -> _ComponentTable:
+    tables = SolveSession.of(problem).dp_tables()
+    table = tables.get(component)
+    if table is None:
+        table = tables[component] = _compile_component(component)
+    return table
+
+
+def _segment_cost(
+    priced: list[tuple[int, bool, float]], nearest: int, penalty: float
+) -> float:
+    """Cost of one node's segments given the depth of the nearest
+    deleted ancestor-or-self (``_NO_ANCESTOR`` = none, which kills no
+    segment: every top depth is >= 0)."""
+    cost = 0.0
+    for top, in_delta, weight in priced:
+        killed = nearest >= top
+        if in_delta:
+            if not killed:
+                cost += penalty
+        elif killed:
+            cost += weight
+    return cost
+
+
 def _solve_component(
     problem: DeletionPropagationProblem,
     component: RootedComponent,
     delta: frozenset[ViewTuple],
     penalty: float,
 ) -> set[Fact]:
-    depth = component.depth
-    # Segments indexed by their bottom fact.
-    by_bottom: dict[Fact, list] = {}
-    for segment in component.segments:
-        by_bottom.setdefault(segment.bottom, []).append(segment)
-
-    def local_cost(fact: Fact, nearest_deleted_depth: int) -> float:
-        """Cost of the segments bottoming at ``fact`` given the nearest
-        deleted ancestor-or-self depth (``_NO_ANCESTOR`` = none)."""
-        cost = 0.0
-        for segment in by_bottom.get(fact, ()):
-            killed = (
-                nearest_deleted_depth != _NO_ANCESTOR
-                and nearest_deleted_depth >= depth[segment.top]
-            )
-            if segment.view_tuple in delta:
-                if not killed:
-                    cost += penalty
-            elif killed:
-                cost += problem.weight(segment.view_tuple)
-        return cost
-
-    # f[fact][d] = min cost of the subtree of `fact` when the nearest
-    # deleted strict ancestor has depth d (d = _NO_ANCESTOR when none).
-    # Only depths up to depth[fact]-1 (plus _NO_ANCESTOR) are reachable.
-    f: dict[Fact, dict[int, float]] = {}
-    choice: dict[Fact, dict[int, bool]] = {}  # True = delete fact
-
-    for fact in component.postorder():
-        f[fact] = {}
-        choice[fact] = {}
-        states = [_NO_ANCESTOR] + list(range(depth[fact]))
-        for state in states:
-            # Option A: keep the fact.
-            keep = local_cost(fact, state)
-            for child in component.children.get(fact, ()):
-                keep += f[child][state]
-            # Option B: delete the fact (nearest deleted becomes depth[fact]).
-            cut = local_cost(fact, depth[fact])
-            for child in component.children.get(fact, ()):
-                cut += f[child][depth[fact]]
+    table = _component_table(problem, component)
+    weight = problem.weight
+    depth = table.depth
+    children = table.children
+    # f[i][s + 1] = min cost of node i's subtree when the nearest
+    # deleted strict ancestor has depth s (s = _NO_ANCESTOR when none).
+    # Only depths up to depth[i]-1 (plus _NO_ANCESTOR) are reachable.
+    f: list[list[float]] = []
+    cut_at: list[list[bool]] = []  # True = delete node i in that state
+    for i, segments in enumerate(table.segments):
+        d = depth[i]
+        kids = children[i]
+        priced = [(top, vt in delta, weight(vt)) for top, vt in segments]
+        # Deleting node i makes it the nearest deleted depth for its
+        # segments and children alike, whatever the state above it.
+        cut = _segment_cost(priced, d, penalty)
+        for child in kids:
+            cut += f[child][d + 1]
+        row: list[float] = []
+        cuts: list[bool] = []
+        for state in range(_NO_ANCESTOR, d):
+            keep = _segment_cost(priced, state, penalty)
+            for child in kids:
+                keep += f[child][state + 1]
             if cut < keep:
-                f[fact][state] = cut
-                choice[fact][state] = True
+                row.append(cut)
+                cuts.append(True)
             else:
-                f[fact][state] = keep
-                choice[fact][state] = False
+                row.append(keep)
+                cuts.append(False)
+        f.append(row)
+        cut_at.append(cuts)
 
-    root = component.pivot
-    if f[root][_NO_ANCESTOR] == float("inf"):
+    root = len(f) - 1
+    if f[root][_NO_ANCESTOR + 1] == float("inf"):
         raise StructureError("DP found no feasible labeling")  # unreachable
 
     # Reconstruct decisions top-down.
+    facts = table.facts
     deleted: set[Fact] = set()
-    stack: list[tuple[Fact, int]] = [(root, _NO_ANCESTOR)]
+    stack: list[tuple[int, int]] = [(root, _NO_ANCESTOR)]
     while stack:
-        fact, state = stack.pop()
-        if choice[fact][state]:
-            deleted.add(fact)
-            child_state = depth[fact]
-        else:
-            child_state = state
-        for child in component.children.get(fact, ()):
-            stack.append((child, child_state))
+        i, state = stack.pop()
+        if cut_at[i][state + 1]:
+            deleted.add(facts[i])
+            state = depth[i]
+        for child in children[i]:
+            stack.append((child, state))
     return deleted

@@ -76,9 +76,7 @@ def solve_lowdeg_tree(
         allowed_facts=allowed,
         preserved_weights=SolveSession.of(problem).wide_tuple_weights,
     )
-    return Propagation(
-        problem, solution.deleted_facts, method=f"lowdeg-tree(tau={tau})"
-    )
+    return solution.relabeled(f"lowdeg-tree(tau={tau})")
 
 
 def solve_lowdeg_tree_sweep(
@@ -103,11 +101,7 @@ def solve_lowdeg_tree_sweep(
         # Any threshold's feasible solution is a valid (if weaker)
         # sweep answer, so degrade to the best one found so far.
         incumbent = (
-            Propagation(
-                problem, best.deleted_facts, method="lowdeg-tree-sweep"
-            )
-            if best is not None
-            else None
+            best.relabeled("lowdeg-tree-sweep") if best is not None else None
         )
         return DeadlineExceededError(
             "lowdeg τ sweep deadline exceeded", incumbent=incumbent
@@ -128,9 +122,7 @@ def solve_lowdeg_tree_sweep(
             best = candidate
     if best is None:
         raise StructureError("no feasible solution across the τ sweep")
-    return Propagation(
-        problem, best.deleted_facts, method="lowdeg-tree-sweep"
-    )
+    return best.relabeled("lowdeg-tree-sweep")
 
 
 def theorem4_bound(problem: DeletionPropagationProblem) -> float:

@@ -188,17 +188,23 @@ class DeletionPropagationProblem:
         clone.queries = self.queries
         clone.views = self.views
         clone.deletion = Deletion(self.views, deletions)
-        clone._weights = dict(self._weights)
+        # Weights are never written after construction: share the dict.
+        clone._weights = self._weights
         if isinstance(self, BalancedDeletionPropagationProblem):
             clone.delta_penalty = self.delta_penalty
         # The dependents index is ΔV-independent: share the base's, built
         # or not.  (candidate_facts depends on ΔV and must not be copied.)
         clone._dependents_base = self.__dict__.get("_dependents_base", self)
-        # A compiled witness arena carries over via an O(‖V‖ + ‖ΔV‖)
-        # rebind of its ΔV slices — never a full recompile.
-        arena = getattr(self, "_compiled_arena", None)
-        if arena is not None and arena.problem is self:
-            clone._compiled_arena = arena.rebound(clone)
+        # A compiled witness arena carries over, but only on demand:
+        # CompiledProblem.of rebinds its O(‖V‖ + ‖ΔV‖) ΔV slices the
+        # first time a solver asks (never a full recompile), and the
+        # routes that never read the arena (dp-tree, the forest duel)
+        # never pay for it.
+        arena = self.__dict__.get("_compiled_arena")
+        if arena is None or arena.problem is not self:
+            arena = self.__dict__.get("_arena_base")
+        if arena is not None:
+            clone._arena_base = arena
         # Point the clone at the base's session (created lazily here if
         # need be — construction computes nothing) so SolveSession.of
         # rebinds and every sibling shares one set of ΔV-independent

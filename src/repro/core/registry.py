@@ -262,12 +262,7 @@ def _run_forest_duel(session: SolveSession) -> Propagation:
         candidate = solver(problem)
         candidates.append((candidate, time.perf_counter() - start))
     winner = min(candidates, key=lambda pair: pair[0].side_effect())[0]
-    labeled = Propagation(
-        problem,
-        winner.deleted_facts,
-        method=f"auto:{winner.method}",
-        counters=winner.counters,
-    )
+    labeled = winner.relabeled(f"auto:{winner.method}")
     # Stash the duel stages for solve_report to splice into the trace.
     labeled.duel_stages = [
         RouteStage(

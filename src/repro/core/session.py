@@ -23,8 +23,9 @@ number of solver routes, portfolio strategies, statistics calls, and
 verification passes share one compile.  Re-binding a new ΔV against the
 same instance (:meth:`SolveSession.rebind`) clones only the
 ΔV-dependent slices: the interning tables, CSR adjacency, structure
-profile flags, and rooted components carry over untouched — this is the
-batch hot path of :func:`repro.core.portfolio.run_delta_batch`.
+profile flags, rooted components, Algorithm 4's DP tables and the trace
+key carry over untouched — this is the batch hot path of
+:func:`repro.core.portfolio.run_delta_batch`.
 """
 
 from __future__ import annotations
@@ -208,6 +209,18 @@ def profile_from_dict(
 _UNSET = object()
 
 
+def _crc_fingerprint(problem: DeletionPropagationProblem) -> str:
+    """CRC over the query texts and size norms: the trace key of an
+    instance whose document was never serialized."""
+    import zlib
+
+    shape = "|".join(sorted(repr(q) for q in problem.queries))
+    digest = zlib.crc32(
+        f"{shape}#{problem.norm_v}#{len(problem.instance)}".encode()
+    )
+    return f"crc32:{digest:08x}"
+
+
 class _InstanceArtifacts:
     """ΔV-independent solve artifacts of one compiled instance.
 
@@ -223,7 +236,9 @@ class _InstanceArtifacts:
         "dual_depths",
         "rooted",
         "component_index",
+        "dp_tables",
         "ilp_incidence",
+        "trace_key",
     )
 
     def __init__(self) -> None:
@@ -232,6 +247,11 @@ class _InstanceArtifacts:
         self.dual_depths: dict[Fact, int] | None = None
         self.rooted: "list[RootedComponent] | object" = _UNSET
         self.component_index: dict[ViewTuple, int] | None = None
+        #: Algorithm 4's index tables, one per rooted component, compiled
+        #: the first time a request touches it (see
+        #: :mod:`repro.core.dp_tree`).
+        self.dp_tables: dict["RootedComponent", object] = {}
+        self.trace_key: str | None = None
         #: Full vt × fact witness incidence as a scipy csr_matrix over
         #: the arena slabs (see :func:`repro.lp.ilp.witness_incidence`)
         #: — ΔV-independent, so siblings share one build.
@@ -296,10 +316,11 @@ class SolveSession:
         """A sibling session over the same compiled instance with a
         different ΔV.
 
-        Costs O(‖V‖ + ‖ΔV‖): the views, witness arena arrays, structure
-        flags, and rooted data dual layout are shared; only the ΔV
-        slices (``is_delta`` / ``delta_ids`` / ``candidate_ids``) and
-        the ΔV-dependent memos are rebuilt.
+        Costs O(‖ΔV‖): the views, witness arena arrays, structure
+        flags, and rooted data dual layout are shared; only the
+        ΔV-dependent memos are rebuilt, and the arena's ΔV slices
+        (``is_delta`` / ``delta_ids`` / ``candidate_ids``, O(‖V‖ +
+        ‖ΔV‖)) only when a solver first asks for the arena.
         """
         return SolveSession.of(self.problem.with_deletions(deletions))
 
@@ -338,24 +359,29 @@ class SolveSession:
 
         return document_hash(self.document)
 
-    @cached_property
+    @property
     def trace_key(self) -> str:
-        """A cheap instance fingerprint for trace-store records.
+        """A cheap instance fingerprint for trace-store records, fixed
+        once per instance on the shared holder.
 
-        Prefers the exact :attr:`content_hash` when the document has
-        already been serialized (serve / portfolio paths); otherwise a
-        CRC over the query texts and size norms — never forces a full
-        document serialization onto the solve hot path."""
-        if "content_hash" in self.__dict__ or "document" in self.__dict__:
-            return self.content_hash
-        import zlib
-
-        problem = self.problem
-        shape = "|".join(sorted(repr(q) for q in problem.queries))
-        digest = zlib.crc32(
-            f"{shape}#{problem.norm_v}#{len(problem.instance)}".encode()
-        )
-        return f"crc32:{digest:08x}"
+        A ``with_deletions`` sibling reports its base session's key, so
+        every request on a served instance is filed under the base's
+        :attr:`content_hash` — its registration id.  A session prefers
+        that exact hash when its document has already been serialized
+        (serve / portfolio paths); otherwise it takes a CRC over the
+        query texts and size norms, never forcing a full document
+        serialization onto the solve hot path."""
+        shared = self._shared
+        if shared.trace_key is None:
+            origin = getattr(self.problem, "_session_base", None) or self
+            if (
+                "content_hash" in origin.__dict__
+                or "document" in origin.__dict__
+            ):
+                shared.trace_key = origin.content_hash
+            else:
+                shared.trace_key = _crc_fingerprint(origin.problem)
+        return shared.trace_key
 
     def export_shm(self, name: str | None = None) -> dict:
         """Publish the compiled arena into a named shared-memory segment
@@ -612,6 +638,12 @@ class SolveSession:
         if isinstance(shared.rooted, Exception):
             raise shared.rooted
         return shared.rooted
+
+    def dp_tables(self) -> dict:
+        """Algorithm 4's compiled index tables, keyed by rooted
+        component (filled lazily by :mod:`repro.core.dp_tree`; shared
+        with every ΔV sibling of this instance)."""
+        return self._shared.dp_tables
 
     def component_index(self) -> dict[ViewTuple, int]:
         """View tuple → position of its component in

@@ -33,6 +33,12 @@ class Fact:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Fact is immutable")
 
+    def __reduce__(self):
+        # Rebuild through __init__: restoring the slots would go through
+        # the blocking __setattr__, and the cached hash is only valid
+        # under the string-hash seed of the process that computed it.
+        return (type(self), (self.relation, self.values))
+
     @property
     def arity(self) -> int:
         return len(self.values)

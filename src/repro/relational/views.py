@@ -23,7 +23,12 @@ __all__ = ["ViewTuple", "View", "ViewSet", "Deletion"]
 
 @dataclass(frozen=True)
 class ViewTuple:
-    """A single view tuple, identified by the view it belongs to."""
+    """A single view tuple, identified by the view it belongs to.
+
+    The hash is computed once, on construction, as :class:`Fact` does:
+    a served request hashes the same few hundred view tuples over and
+    over (ΔV membership, weights, component lookups).
+    """
 
     view: str
     values: tuple
@@ -31,6 +36,15 @@ class ViewTuple:
     def __init__(self, view: str, values: Iterable[object]):
         object.__setattr__(self, "view", view)
         object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "_hash", hash((view, self.values)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__ so the hash is recomputed under the
+        # loading process's string-hash seed.
+        return (type(self), (self.view, self.values))
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(v) for v in self.values)
@@ -204,6 +218,7 @@ class Deletion:
         self, views: ViewSet, deletions: Mapping[str, Iterable[tuple]]
     ):
         self._views = views
+        self._sorted_view_tuples: tuple[ViewTuple, ...] | None = None
         self._deletions: dict[str, frozenset[tuple]] = {}
         for name, tuples in deletions.items():
             view = views.view(name)  # raises on unknown view
@@ -236,12 +251,16 @@ class Deletion:
         return not self._deletions
 
     def deleted_view_tuples(self) -> list[ViewTuple]:
-        out = [
-            ViewTuple(name, values)
-            for name, tuples in self._deletions.items()
-            for values in tuples
-        ]
-        return sorted(out)
+        """The ΔV tuples, sorted (built once: a deletion is immutable)."""
+        if self._sorted_view_tuples is None:
+            self._sorted_view_tuples = tuple(
+                sorted(
+                    ViewTuple(name, values)
+                    for name, tuples in self._deletions.items()
+                    for values in tuples
+                )
+            )
+        return list(self._sorted_view_tuples)
 
     def preserved_view_tuples(self) -> list[ViewTuple]:
         """``R = {V1 \\ ΔV1, ...}``: the tuples that must survive."""

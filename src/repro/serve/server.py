@@ -244,7 +244,7 @@ class SolveServer:
         smaller batches run serially against the resident session.
     max_pending:
         Per-instance hard watermark: queued **plus in-flight** requests
-        before new solves are rejected outright.
+        before new solves are rejected outright (at least 1).
     max_global_pending:
         Server-wide hard watermark over all instances (``None``: 4 ×
         ``max_pending``).
@@ -283,6 +283,12 @@ class SolveServer:
         max_line_bytes: int = MAX_LINE_BYTES,
         _breaker_clock=time.monotonic,
     ):
+        # A zero watermark rejects every solve as retryable overload, so
+        # a retrying client would loop forever: refuse to start instead.
+        if max_pending < 1:
+            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
+        if max_workers is not None and max_workers < 0:
+            raise ValueError(f"max_workers must be >= 0, got {max_workers}")
         self._host = host
         self._port = port
         self._unix_path = unix_path

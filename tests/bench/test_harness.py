@@ -125,6 +125,22 @@ class TestBenchJson:
         assert "Traceback" not in done.stderr
         assert "expected a positive integer" in done.stderr
 
+    def test_chaos_bench_rejects_zero_facts_in_process(self, capsys):
+        import importlib.util
+
+        root = Path(__file__).resolve().parents[2]
+        spec = importlib.util.spec_from_file_location(
+            "bench_serve_chaos", root / "benchmarks" / "bench_serve_chaos.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        for flag in ("--facts-per-relation", "--clients", "--per-client",
+                     "--repeats"):
+            with pytest.raises(SystemExit) as excinfo:
+                module.main([flag, "0"])
+            assert excinfo.value.code == 2, flag
+            assert "expected a positive integer" in capsys.readouterr().err
+
     def test_load_rejects_non_artifact(self, tmp_path):
         path = tmp_path / "BENCH_bogus.json"
         path.write_text(json.dumps({"bench": "bogus", "rows": []}))

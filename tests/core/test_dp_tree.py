@@ -155,6 +155,11 @@ def _variants(problem, rng):
         vt: rng.choice((0.0, 0.0, 0.5, 1.0, 3.0))
         for vt in problem.preserved_view_tuples()
     }
+    # Weights whose sums round, so a changed addition order would show.
+    fractional = {
+        vt: rng.choice((0.1, 1 / 3, 0.7, 2.2, 0.0))
+        for vt in problem.preserved_view_tuples()
+    }
     deletions = _deletions(problem)
     return {
         "standard": problem,
@@ -167,6 +172,16 @@ def _variants(problem, rng):
             deletions,
             weights,
             delta_penalty=rng.choice((0.5, 1.0, 2.5)),
+        ),
+        "fractional": DeletionPropagationProblem(
+            problem.instance, problem.queries, deletions, fractional
+        ),
+        "fractional-balanced": BalancedDeletionPropagationProblem(
+            problem.instance,
+            problem.queries,
+            deletions,
+            fractional,
+            delta_penalty=rng.choice((0.3, 1 / 3, 1.1)),
         ),
     }
 
@@ -285,3 +300,90 @@ class TestDeltaLocal:
         finally:
             attached.close()
             session.close()
+
+
+# ----------------------------------------------------------------------
+# Table DP vs the object-graph DP it replaced
+# ----------------------------------------------------------------------
+
+
+def _reference_solve_component(problem, component, delta, penalty):
+    """Algorithm 4's DP over one component as it ran before the index
+    tables: dicts keyed by fact, the cut cost recomputed per state."""
+    no_ancestor = -1
+    depth = component.depth
+    by_bottom = {}
+    for segment in component.segments:
+        by_bottom.setdefault(segment.bottom, []).append(segment)
+
+    def local_cost(fact, nearest_deleted_depth):
+        cost = 0.0
+        for segment in by_bottom.get(fact, ()):
+            killed = (
+                nearest_deleted_depth != no_ancestor
+                and nearest_deleted_depth >= depth[segment.top]
+            )
+            if segment.view_tuple in delta:
+                if not killed:
+                    cost += penalty
+            elif killed:
+                cost += problem.weight(segment.view_tuple)
+        return cost
+
+    f = {}
+    choice = {}
+    for fact in component.postorder():
+        f[fact] = {}
+        choice[fact] = {}
+        for state in [no_ancestor] + list(range(depth[fact])):
+            keep = local_cost(fact, state)
+            for child in component.children.get(fact, ()):
+                keep += f[child][state]
+            cut = local_cost(fact, depth[fact])
+            for child in component.children.get(fact, ()):
+                cut += f[child][depth[fact]]
+            if cut < keep:
+                f[fact][state] = cut
+                choice[fact][state] = True
+            else:
+                f[fact][state] = keep
+                choice[fact][state] = False
+
+    deleted = set()
+    stack = [(component.pivot, no_ancestor)]
+    while stack:
+        fact, state = stack.pop()
+        if choice[fact][state]:
+            deleted.add(fact)
+            child_state = depth[fact]
+        else:
+            child_state = state
+        for child in component.children.get(fact, ()):
+            stack.append((child, child_state))
+    return deleted
+
+
+class TestTableDP:
+    @pytest.mark.parametrize("problem", _dp_tree_cases())
+    def test_matches_object_graph_reference(self, problem):
+        from repro.core.dp_tree import _solve_component
+        from repro.core.session import SolveSession
+
+        for name, variant in _variants(problem, random.Random(11)).items():
+            session = SolveSession.of(variant)
+            penalty = (
+                variant.delta_penalty
+                if session.profile.balanced
+                else float("inf")
+            )
+            delta = frozenset(variant.deleted_view_tuples())
+            expected = set()
+            for component in session.rooted_components():
+                reference = _reference_solve_component(
+                    variant, component, delta, penalty
+                )
+                assert _solve_component(
+                    variant, component, delta, penalty
+                ) == reference, name
+                expected |= reference
+            assert solve_dp_tree(variant).deleted_facts == expected, name

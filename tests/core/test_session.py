@@ -94,10 +94,23 @@ class TestRebindSharing:
             rebound.delta_ids == arena.delta_ids
         )
 
-    def test_rebind_is_seeded_eagerly_no_recompile(self):
+    def test_rebind_is_lazy_no_recompile(self, monkeypatch):
         problem, arena, clone = self._base_and_clone()
-        # with_deletions seeds the rebound arena before any solver asks.
-        assert clone._compiled_arena.facts is arena.facts
+        # with_deletions defers the rebind to the first solver that asks,
+        # and that solver gets a rebound arena, never a recompile.
+        assert "_compiled_arena" not in clone.__dict__
+        compiles = []
+        init = CompiledProblem.__init__
+
+        def counting_init(self, *args, **kwargs):
+            compiles.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledProblem, "__init__", counting_init)
+        assert CompiledProblem.of(clone).facts is arena.facts
+        grandchild = clone.with_deletions({})
+        assert CompiledProblem.of(grandchild).facts is arena.facts
+        assert compiles == []
 
     def test_rebound_delta_matches_request(self):
         problem, arena, clone = self._base_and_clone()
@@ -144,6 +157,86 @@ class TestRebindSharing:
             weights=dict(problem._weights),
         )
         assert solve(clone).deleted_facts == solve(fresh).deleted_facts
+
+
+class TestPerRequestWork:
+    """Pins, as counts, what a served ΔV request does not redo: no arena
+    rebind on the dp-tree route, one DP table per component per
+    instance, one CRC trace fingerprint per instance."""
+
+    def test_serial_delta_batch_reuses_instance_constants(
+        self, monkeypatch, tmp_path
+    ):
+        from collections import Counter
+
+        from repro.core import dp_tree, session as session_module
+        from repro.core.portfolio import _prime_session, run_delta_batch
+        from repro.core.tracestore import (
+            TRACE_DIR_ENV,
+            TRACE_ENV,
+            reset_default_store,
+        )
+        from repro.workloads import scaling_problem
+
+        monkeypatch.delenv(TRACE_ENV, raising=False)
+        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path / "traces"))
+        reset_default_store()
+        counts: Counter = Counter()
+        compiled: Counter = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            CompiledProblem,
+            "rebound",
+            counting("rebound", CompiledProblem.rebound),
+        )
+        monkeypatch.setattr(
+            session_module,
+            "_crc_fingerprint",
+            counting("crc", session_module._crc_fingerprint),
+        )
+        compile_component = dp_tree._compile_component
+
+        def counting_compile(component):
+            compiled[id(component)] += 1
+            return compile_component(component)
+
+        monkeypatch.setattr(dp_tree, "_compile_component", counting_compile)
+
+        problem = scaling_problem(random.Random(8), facts_per_relation=40)
+        base = _prime_session(problem)
+        pool = problem.all_view_tuples()
+        rng = random.Random(9)
+        requests = []
+        for _ in range(12):
+            request: dict = {}
+            for vt in rng.sample(pool, 3):
+                request.setdefault(vt.view, []).append(list(vt.values))
+            requests.append(request)
+        try:
+            outcomes = run_delta_batch(problem, requests, max_workers=0)
+        finally:
+            reset_default_store()
+
+        assert all(outcome.ok for outcome in outcomes)
+        assert {outcome.route for outcome in outcomes} == {"dp-tree"}
+        components = base.rooted_components()
+        index = base.component_index()
+        touched = {
+            id(components[index[vt]])
+            for outcome in outcomes
+            for vt in outcome.propagation.problem.deleted_view_tuples()
+        }
+        assert counts["rebound"] == 0
+        assert set(compiled) == touched
+        assert set(compiled.values()) == {1}
+        assert counts["crc"] <= 1
 
 
 class TestRouteTable:

@@ -33,6 +33,33 @@ class TestParser:
             )
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--max-pending", "0"],
+            ["--max-pending", "-1"],
+            ["--jobs", "-1"],
+            ["--jobs", "two"],
+        ],
+    )
+    def test_serve_rejects_degenerate_counts(self, argv, capsys):
+        # A server with no queue room rejects every solve as retryable
+        # overload; it must not start at all.  (Parsing only: a parser
+        # that let the value through would start a server that never
+        # returns.)
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "integer" in err and "Traceback" not in err
+
+    def test_serve_accepts_boundary_counts(self):
+        args = build_parser().parse_args(
+            ["serve", "--max-pending", "1", "--jobs", "0"]
+        )
+        assert (args.max_pending, args.jobs) == (1, 0)
+
+
 class TestSolveCommand:
     def test_solve_text_output(self, problem_file, capsys):
         code = main(["solve", problem_file])

@@ -343,3 +343,53 @@ def test_malformed_request_fails_only_itself_in_a_coalesced_batch():
     assert responses[0]["solution"] == responses[2]["solution"]
     assert stats.internal_errors == 0
     assert stats.solve_errors == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_pending": 0}, {"max_pending": -1}, {"max_workers": -1}],
+)
+def test_server_refuses_degenerate_limits(kwargs):
+    # max_pending 0 would answer every solve with a retryable
+    # "overloaded", so a retrying client would loop forever.
+    with pytest.raises(ValueError):
+        SolveServer(**kwargs)
+
+
+def test_served_delta_trace_is_filed_under_the_instance_id(
+    monkeypatch, tmp_path
+):
+    from repro.core.tracestore import (
+        TRACE_DIR_ENV,
+        TRACE_ENV,
+        default_store,
+        reset_default_store,
+    )
+
+    monkeypatch.delenv(TRACE_ENV, raising=False)
+    monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path / "traces"))
+    reset_default_store()
+    problem = _case_problem(6)
+    doc = problem_to_dict(problem)
+    view = next(iter(doc["deletions"]))
+    deletions = {view: doc["deletions"][view][:1]}
+
+    async def main():
+        server = SolveServer(max_workers=0)
+        try:
+            instance, _ = server.register_document(doc)
+            response, _ = await server._dispatch(encode_message({
+                "op": "solve", "instance": instance, "deletions": deletions,
+            }))
+            return instance, response
+        finally:
+            await server.close()
+
+    try:
+        instance, response = asyncio.run(main())
+        assert response["ok"], response
+        records = list(default_store().records())
+    finally:
+        reset_default_store()
+    assert records
+    assert {record["instance"] for record in records} == {instance}
