@@ -27,6 +27,7 @@ _DIST = f"{NAME}-{VERSION}"
 _TAG = "py3-none-any"
 _ROOT = os.path.abspath(os.path.dirname(__file__))
 
+# Mirrors [project] in pyproject.toml; keep the two in step.
 _METADATA = "\n".join(
     [
         "Metadata-Version: 2.1",
@@ -36,7 +37,7 @@ _METADATA = "\n".join(
         "conjunctive queries (ICDE 2019 reproduction)",
         "Requires-Python: >=3.10",
         "Requires-Dist: numpy",
-        "Requires-Dist: scipy",
+        "Requires-Dist: scipy>=1.9",
         "Requires-Dist: networkx",
         'Requires-Dist: pytest ; extra == "dev"',
         'Requires-Dist: pytest-benchmark ; extra == "dev"',

@@ -14,6 +14,11 @@ push a batch of ΔV requests against one triangle workload through
   session artifacts and the zero-copy witness incidence matrix carry
   over and only the candidate slice / covering rows are rebuilt.
 
+An **lp-rounding** row times :func:`repro.core.lp_rounding.solve_lp_rounding`
+over the same sibling requests: the LP relaxation (1)–(5) is sliced
+from the same incidence matrix and rounded at ``1/l``; each answer must
+be feasible and within ``l²`` of the ILP optimum.
+
 Asserted: (a) all three modes return lexicographically identical
 answers request for request — same objective, same deletion count (the
 warm cutoff row may steer HiGHS to a different but equally optimal fact
@@ -35,6 +40,7 @@ import random
 import sys
 import time
 
+from repro.core.lp_rounding import lp_rounding_bound, solve_lp_rounding
 from repro.core.problem import DeletionPropagationProblem
 from repro.core.session import SolveSession
 from repro.lp.ilp import solve_ilp, witness_incidence
@@ -100,6 +106,18 @@ def run(
     ]
     sibling_seconds = time.perf_counter() - start
 
+    # LP rounding over the same sibling requests.
+    start = time.perf_counter()
+    rounded = [
+        solve_lp_rounding(base.with_deletions(request)) for request in requests
+    ]
+    rounding_seconds = time.perf_counter() - start
+    for index, (prop, exact) in enumerate(zip(rounded, sibling)):
+        bound = lp_rounding_bound(prop.problem) * exact.side_effect()
+        assert prop.is_feasible() and prop.side_effect() <= bound + 1e-9, (
+            f"request #{index}: LP rounding infeasible or beyond l² × OPT"
+        )
+
     # (a) Lexicographically identical answers request for request: the
     # warm cutoff row may steer HiGHS to a *different* optimum, but the
     # (objective, deletion count) pair is pinned by the formulation.
@@ -133,6 +151,7 @@ def run(
         row("cold", cold_seconds),
         row("warm", warm_seconds),
         row("sibling-resolve", sibling_seconds),
+        row("lp-rounding", rounding_seconds),
         {
             "path": "speedup",
             "sibling_over_cold": round(speedup, 2),
@@ -144,7 +163,7 @@ def run(
         f"sibling re-solve ({sibling_seconds:.4f}s) not faster than "
         f"cold compile+solve ({cold_seconds:.4f}s)"
     )
-    return rows, cold_seconds + warm_seconds + sibling_seconds
+    return rows, cold_seconds + warm_seconds + sibling_seconds + rounding_seconds
 
 
 def main(argv: list[str] | None = None) -> int:

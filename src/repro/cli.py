@@ -70,6 +70,20 @@ def _int_at_least(minimum: int, what: str):
     return parse
 
 
+def _positive_seconds(text: str) -> float:
+    """``argparse`` type for a deadline: a positive number of seconds
+    (a zero or negative budget could never answer)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number of seconds, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -122,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve_cmd.add_argument(
         "--jobs",
-        type=int,
+        type=_int_at_least(0, "non-negative"),
         default=None,
         help=(
             "worker processes for --portfolio (default: one per "
@@ -131,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve_cmd.add_argument(
         "--deadline",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help=(
@@ -142,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve_cmd.add_argument(
         "--retries",
-        type=int,
+        type=_int_at_least(0, "non-negative"),
         default=0,
         help=(
             "extra attempts per method for transient failures, with "
@@ -892,4 +906,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from repro.errors import ReproError
+
+    # A typed error is a one-line verdict, not a traceback; main() itself
+    # still raises so library callers and tests see the exception.
+    try:
+        sys.exit(main())
+    except ReproError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(1)

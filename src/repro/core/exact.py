@@ -40,9 +40,9 @@ _BALANCED_BRUTEFORCE_LIMIT = 22
 
 
 def solve_exact(problem: DeletionPropagationProblem) -> Propagation:
-    """Exact optimum, automatic backend selection: ILP when available
-    and applicable (key-preserving), else branch & bound."""
-    if SolveSession.of(problem).profile.key_preserving and _milp_available():
+    """Exact optimum, automatic backend selection: the ILP for
+    key-preserving problems, else branch & bound."""
+    if SolveSession.of(problem).profile.key_preserving:
         return solve_exact_ilp(problem)
     return solve_exact_bruteforce(problem)
 
@@ -154,14 +154,6 @@ def _balanced_bruteforce(
 # ----------------------------------------------------------------------
 # ILP backend
 # ----------------------------------------------------------------------
-
-
-def _milp_available() -> bool:
-    try:
-        from scipy.optimize import milp  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def solve_exact_ilp(problem: DeletionPropagationProblem) -> Propagation:

@@ -47,24 +47,32 @@ __all__ = [
 ]
 
 
+def _candidate_values(
+    problem: DeletionPropagationProblem, route: str
+) -> list[tuple[Fact, float]] | None:
+    """``(fact, y_t)`` of the LP optimum per candidate fact, in ascending
+    fact order — or ``None`` when ΔV is empty (nothing to delete)."""
+    session = SolveSession.of(problem)
+    if not session.profile.key_preserving:
+        raise NotKeyPreservingError(f"{route} requires key-preserving queries")
+    if session.profile.empty_delta:
+        return None
+    candidates = session.arena.candidate_ids_np
+    y = primal_vse_lp(problem).solve().values[: candidates.size]
+    return list(zip(session.arena.facts_of(candidates.tolist()), y.tolist()))
+
+
 def solve_lp_rounding(problem: DeletionPropagationProblem) -> Propagation:
     """Solve the LP relaxation and round ``y_t >= 1/l`` up.
 
     Requires key-preserving queries (like every algorithm in the
     paper).  Returns a feasible solution within ``l²`` of the optimum.
     """
-    profile = SolveSession.of(problem).profile
-    if not profile.key_preserving:
-        raise NotKeyPreservingError("LP rounding requires key-preserving queries")
-    if profile.empty_delta:
+    values = _candidate_values(problem, "LP rounding")
+    if values is None:
         return Propagation(problem, (), method="lp-rounding")
-    solution = primal_vse_lp(problem).solve()
     threshold = 1.0 / max(1, problem.max_arity)
-    deleted = {
-        payload
-        for (kind, payload), value in solution.values.items()
-        if kind == "y" and value >= threshold - 1e-12
-    }
+    deleted = {fact for fact, value in values if value >= threshold - 1e-12}
     return Propagation(
         problem, _prune(problem, deleted), method="lp-rounding"
     )
@@ -100,39 +108,28 @@ def solve_randomized_rounding(
     Deterministic for a given ``rng`` seed; feasible regardless of the
     coin flips thanks to the repair step.
     """
-    profile = SolveSession.of(problem).profile
-    if not profile.key_preserving:
-        raise NotKeyPreservingError(
-            "LP rounding requires key-preserving queries"
-        )
-    if profile.empty_delta:
+    values = _candidate_values(problem, "randomized rounding")
+    if values is None:
         return Propagation(problem, (), method="randomized-rounding")
     rng = rng or random.Random(0)
-    lp_values = primal_vse_lp(problem).solve().values
-    y = {
-        payload: value
-        for (kind, payload), value in lp_values.items()
-        if kind == "y"
-    }
     delta = problem.deleted_view_tuples()
     witnesses = {vt: problem.witness(vt) for vt in delta}
     inflation = math.log(1 + problem.norm_delta_v)
-    preserved = frozenset(problem.preserved_view_tuples())
 
     def damage_of(fact: Fact, already: set[Fact]) -> float:
-        eliminated = problem.eliminated_by(already | {fact})
-        base = problem.eliminated_by(already)
-        return sum(
+        # The preserved tuples deleting ``fact`` newly eliminates, folded
+        # with fsum so the total does not depend on set iteration order.
+        return math.fsum(
             problem.weight(vt)
-            for vt in eliminated - base
-            if vt in preserved
+            for vt in problem.dependents(fact)
+            if vt not in problem.deletion and not problem.witness(vt) & already
         )
 
     best: Propagation | None = None
     for _ in range(max(1, repetitions)):
         deleted = {
             fact
-            for fact, value in sorted(y.items())
+            for fact, value in values
             if rng.random() < min(1.0, value * inflation)
         }
         # Repair: cover every missed witness with its cheapest fact.

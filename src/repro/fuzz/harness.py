@@ -21,8 +21,10 @@ all routes agree).  The checks, in the order they run:
 4. **Exact ratio** — on small instances, the ILP optimum is computed
    and every route with a quoted guarantee must stay within its bound
    (Claim 1's ``2·sqrt(l·‖V‖·log‖ΔV‖)``, Theorem 3's ``l``, Theorem 4's
-   ``2·sqrt(‖V‖)``; exact routes must match the optimum).  No route may
-   beat the ILP (that would indict the ILP itself).
+   ``2·sqrt(‖V‖)``, LP rounding's ``l²``; exact routes must match the
+   optimum).  No route may beat the ILP (that would indict the ILP
+   itself), and on standard problems the LP relaxation (1)–(5) must not
+   exceed it.
 5. **Metamorphic invariants** — adding a fact in a fresh unrelated
    relation never changes any deterministic route's answer; duplicating
    ΔV rows in the problem document is a no-op; after applying a
@@ -53,6 +55,7 @@ from repro.relational.schema import Key, RelationSchema, Schema
 from repro.relational.tuples import Fact
 from repro.core.general import claim1_bound
 from repro.core.lowdeg_tree import theorem4_bound
+from repro.core.lp_rounding import lp_rounding_bound
 from repro.core.problem import (
     BalancedDeletionPropagationProblem,
     DeletionPropagationProblem,
@@ -127,7 +130,13 @@ def _routes_for(problem: DeletionPropagationProblem) -> list[str]:
         return routes
     routes = ["auto"]
     if profile.key_preserving:
-        routes += ["claim1", "greedy-min-damage", "greedy-max-coverage"]
+        routes += [
+            "claim1",
+            "greedy-min-damage",
+            "greedy-max-coverage",
+            "lp-rounding",
+            "randomized-rounding",
+        ]
         if profile.forest_case and profile.self_join_free:
             routes += ["primal-dual", "lowdeg-tree"]
         if profile.dp_tree_applies:
@@ -150,6 +159,8 @@ _ROUTE_BOUND: dict[str, Callable[[DeletionPropagationProblem], float] | None] = 
     "greedy-min-damage": None,
     "greedy-max-coverage": None,
     "balanced-lowdeg": None,
+    "lp-rounding": lp_rounding_bound,
+    "randomized-rounding": None,
 }
 
 
@@ -379,6 +390,8 @@ def _check_ratios(
         (lambda s: s.balanced_cost()) if balanced else (lambda s: s.side_effect())
     )
     opt_value = objective(optimum)
+    if not balanced:
+        _check_lp_bound(problem, opt_value, report)
     for method, propagation in produced.items():
         if not balanced and not propagation.is_feasible():
             continue
@@ -400,6 +413,26 @@ def _check_ratios(
                 f"side-effect {value!r} exceeds bound {bound:g} × "
                 f"optimum {opt_value!r}",
             )
+
+
+def _check_lp_bound(
+    problem: DeletionPropagationProblem, opt_value: float, report: CaseReport
+) -> None:
+    """The LP relaxation (1)–(5) must lower-bound the ILP optimum."""
+    from repro.lp import lp_lower_bound
+
+    try:
+        bound = lp_lower_bound(problem)
+    except DeadlineExceededError:
+        raise
+    except Exception as exc:
+        report.fail("lp-bound-crash", f"{type(exc).__name__}: {exc}")
+        return
+    if bound > opt_value + _EPS:
+        report.fail(
+            "lp-bound",
+            f"LP optimum {bound!r} exceeds exact optimum {opt_value!r}",
+        )
 
 
 # ----------------------------------------------------------------------

@@ -59,7 +59,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.problem import DeletionPropagationProblem
     from repro.core.session import SolveSession
 
-__all__ = ["CompiledILP", "compile_ilp", "solve_ilp", "witness_incidence"]
+__all__ = [
+    "CompiledILP",
+    "candidate_incidence",
+    "compile_ilp",
+    "solve_ilp",
+    "witness_incidence",
+]
 
 #: Relative slack on primary-objective cutoff rows (the warm-start
 #: bound and the stage-2 lexicographic pin) so float64 round-off in the
@@ -106,14 +112,6 @@ class CompiledILP:
         return int(self.candidates.size)
 
     @property
-    def num_x(self) -> int:
-        return int(self.at_risk.size)
-
-    @property
-    def num_c(self) -> int:
-        return int(self.cost.size) - self.num_y - self.num_x
-
-    @property
     def num_vars(self) -> int:
         return int(self.cost.size)
 
@@ -145,6 +143,14 @@ def witness_incidence(session: "SolveSession") -> "sparse.csr_matrix":
     return matrix
 
 
+def candidate_incidence(session: "SolveSession") -> "sparse.csr_matrix":
+    """The witness incidence restricted to this ΔV binding's candidate
+    facts (columns in ascending fact-ID order) — the slice both the
+    exact ILP and the LP relaxation (:mod:`repro.lp.formulations`)
+    compile their blocks from."""
+    return witness_incidence(session)[:, session.arena.candidate_ids_np].tocsr()
+
+
 def compile_ilp(session: "SolveSession") -> CompiledILP:
     """Compile the session's ΔV binding into a :class:`CompiledILP`.
 
@@ -161,7 +167,7 @@ def compile_ilp(session: "SolveSession") -> CompiledILP:
     arena = session.arena
     candidates = arena.candidate_ids_np
     ny = int(candidates.size)
-    witness = witness_incidence(session)[:, candidates].tocsr()
+    witness = candidate_incidence(session)
 
     delta_ids = arena.delta_ids_np
     nd = int(delta_ids.size)
@@ -188,13 +194,8 @@ def compile_ilp(session: "SolveSession") -> CompiledILP:
     slots = int(link.nnz)
     linking = sparse.csr_matrix(
         (
-            np.concatenate([np.ones(slots), -np.ones(slots)]),
-            (
-                np.tile(np.arange(slots), 2),
-                np.concatenate(
-                    [ny + np.asarray(link.row), np.asarray(link.col)]
-                ),
-            ),
+            np.repeat([1.0, -1.0], slots),
+            (np.tile(np.arange(slots), 2), np.concatenate([ny + link.row, link.col])),
         ),
         shape=(slots, num_vars),
     )
@@ -210,10 +211,8 @@ def compile_ilp(session: "SolveSession") -> CompiledILP:
             (
                 np.concatenate([np.ones(nd), -np.ones(int(cover.nnz))]),
                 (
-                    np.concatenate([np.arange(nd), np.asarray(cover.row)]),
-                    np.concatenate(
-                        [ny + nx + np.arange(nd), np.asarray(cover.col)]
-                    ),
+                    np.concatenate([np.arange(nd), cover.row]),
+                    np.concatenate([ny + nx + np.arange(nd), cover.col]),
                 ),
             ),
             shape=(nd, num_vars),
@@ -372,11 +371,8 @@ def solve_ilp(
     session = SolveSession.of(problem)
     if not session.profile.key_preserving:
         raise SolverError("ILP backend requires key-preserving queries")
-    try:
-        from scipy import sparse
-        from scipy.optimize import Bounds, LinearConstraint, milp
-    except ImportError as exc:  # pragma: no cover - scipy is a dependency
-        raise SolverError("scipy.optimize.milp unavailable") from exc
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     deadline = active_deadline()
     if deadline is not None:
@@ -423,15 +419,6 @@ def solve_ilp(
         if not model.balanced and not prop.is_feasible():
             return None
         return prop
-
-    def better(
-        a: Propagation | None, b: Propagation | None
-    ) -> Propagation | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a if a.objective() <= b.objective() else b
 
     primary_row = sparse.csr_matrix(model.cost)
     extra_rows: list[tuple] = []
@@ -486,9 +473,13 @@ def solve_ilp(
             return prop
         if result.status == _MILP_STATUS_LIMIT:
             # Time/iteration limit: result.x may still hold a feasible
-            # incumbent (or be None) — degrade, never discard.
-            best = better(
-                extract(result, "exact-ilp-incumbent"), incumbent
+            # incumbent (or be None) — degrade, never discard; on a tie
+            # the solver's own incumbent wins.
+            found = (extract(result, "exact-ilp-incumbent"), incumbent)
+            best = min(
+                (prop for prop in found if prop is not None),
+                key=lambda prop: prop.objective(),
+                default=None,
             )
             raise DeadlineExceededError(
                 "exact ILP stopped at its time limit", incumbent=best

@@ -155,3 +155,74 @@ class TestOtherCommands:
         assert main(["example", "chain", "--seed", "3", "--out", str(path)]) == 0
         capsys.readouterr()
         assert main(["solve", str(path)]) == 0
+
+
+def _run_cli(*argv):
+    """Run ``python -m repro.cli`` in a subprocess (the real entry point,
+    where typed errors become one stderr line)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, REPRO_TRACE="off")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--method", "lp-rounding"], "NotKeyPreservingError"),
+            (["--method", "randomized-rounding"], "NotKeyPreservingError"),
+            (["--method", "primal-dual"], "NotKeyPreservingError"),
+            (["--method", "exact-ilp"], "SolverError"),
+            (["--deadline", "0.000001"], "DeadlineExceededError"),
+            (["--portfolio", "--methods", ",,"], "SolverError"),
+        ],
+    )
+    def test_typed_error_is_one_stderr_line(self, problem_file, argv, error):
+        result = _run_cli("solve", *argv, problem_file)
+        assert result.returncode == 1
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith(f"error: {error}: ")
+
+    def test_randomized_rounding_names_itself(self, problem_file):
+        result = _run_cli("solve", "--method", "randomized-rounding", problem_file)
+        assert "randomized rounding requires" in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--deadline", "0"],
+            ["--deadline", "-1"],
+            ["--deadline", "nan"],
+            ["--retries", "-1"],
+            ["--portfolio", "--jobs", "-3"],
+        ],
+    )
+    def test_degenerate_solve_flags_are_usage_errors(self, problem_file, argv):
+        result = _run_cli("solve", *argv, problem_file)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"argument {argv[-2]}" in result.stderr
+
+    def test_boundary_solve_flags_accepted(self, problem_file):
+        args = build_parser().parse_args(
+            ["solve", problem_file, "--retries", "0", "--jobs", "0",
+             "--deadline", "0.5"]
+        )
+        assert (args.retries, args.jobs, args.deadline) == (0, 0, 0.5)

@@ -1,97 +1,66 @@
-"""Tests for the LP builder."""
+"""Tests for the compiled LP type (``optimize cost·v s.t. matrix·v <=
+bound, 0 <= v <= upper``) that backs the paper's primal and dual."""
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.errors import SolverError
-from repro.lp import LinearProgram, LPSolution
+from repro.lp import CompiledLP
+
+
+def _lp(cost, rows, bound, upper=None):
+    matrix = np.array(rows, dtype=float).reshape(len(rows), len(cost))
+    return CompiledLP(
+        np.array(cost, dtype=float),
+        sparse.csr_matrix(matrix),
+        np.array(bound, dtype=float),
+        upper,
+    )
 
 
 class TestModel:
     def test_simple_minimization(self):
-        lp = LinearProgram()
-        lp.add_variable("x", objective=1.0)
-        lp.add_variable("y", objective=2.0)
-        lp.add_constraint({"x": 1.0, "y": 1.0}, ">=", 4.0)
-        solution = lp.solve()
+        # min x + 2y  s.t.  x + y >= 4
+        solution = _lp([1.0, 2.0], [[-1.0, -1.0]], [-4.0]).solve()
         assert solution.objective == pytest.approx(4.0)
-        assert solution.value("x") == pytest.approx(4.0)
+        assert solution.values[0] == pytest.approx(4.0)
 
     def test_maximization(self):
-        lp = LinearProgram()
-        lp.add_variable("x", objective=1.0, upper=3.0)
-        solution = lp.solve(maximize=True)
+        solution = _lp([1.0], [], [], upper=3.0).solve(maximize=True)
         assert solution.objective == pytest.approx(3.0)
 
-    def test_equality_constraint(self):
-        lp = LinearProgram()
-        lp.add_variable("x", objective=1.0)
-        lp.add_constraint({"x": 2.0}, "==", 6.0)
-        assert lp.solve().value("x") == pytest.approx(3.0)
-
     def test_leq_constraint(self):
-        lp = LinearProgram()
-        lp.add_variable("x", objective=-1.0, upper=None)
-        lp.add_constraint({"x": 1.0}, "<=", 5.0)
-        assert lp.solve().value("x") == pytest.approx(5.0)
+        solution = _lp([-1.0], [[1.0]], [5.0]).solve()
+        assert solution.values[0] == pytest.approx(5.0)
 
     def test_maximization_objective_sign(self):
         # The maximize path negates c for linprog and must negate the
         # reported objective back: a mixed-sign objective catches a
         # missing un-negation that a single positive variable would not.
-        lp = LinearProgram()
-        lp.add_variable("x", objective=2.0, upper=3.0)
-        lp.add_variable("y", objective=-5.0, upper=4.0)
+        lp = _lp([2.0, -5.0], [[1.0, 0.0], [0.0, 1.0]], [3.0, 4.0])
         solution = lp.solve(maximize=True)
         assert solution.objective == pytest.approx(6.0)
-        assert solution.value("x") == pytest.approx(3.0)
-        assert solution.value("y") == pytest.approx(0.0)
+        assert solution.values[0] == pytest.approx(3.0)
+        assert solution.values[1] == pytest.approx(0.0)
 
     def test_infeasible_raises(self):
-        lp = LinearProgram()
-        lp.add_variable("x", upper=1.0)
-        lp.add_constraint({"x": 1.0}, ">=", 2.0)
         with pytest.raises(SolverError):
-            lp.solve()
+            _lp([0.0], [[-1.0]], [-2.0], upper=1.0).solve()
 
     def test_unbounded_raises(self):
-        lp = LinearProgram()
-        lp.add_variable("x", objective=-1.0, upper=None)
         with pytest.raises(SolverError):
-            lp.solve()
-
-    def test_duplicate_variable_rejected(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
-        with pytest.raises(SolverError):
-            lp.add_variable("x")
-
-    def test_unknown_variable_in_constraint_rejected(self):
-        lp = LinearProgram()
-        with pytest.raises(SolverError):
-            lp.add_constraint({"ghost": 1.0}, ">=", 0.0)
-
-    def test_unknown_sense_rejected(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
-        with pytest.raises(SolverError):
-            lp.add_constraint({"x": 1.0}, "~", 0.0)
+            _lp([-1.0], [], []).solve()
 
     def test_empty_program(self):
         # Fast path: no variables means no linprog call at all.
-        solution = LinearProgram().solve()
+        solution = _lp([], [], []).solve()
         assert solution.objective == 0.0
-        assert solution.values == {}
-        assert solution.message == ""
+        assert solution.values.size == 0
 
-    def test_solution_has_no_optimal_flag(self):
-        # Regression: the always-True ``optimal`` field was removed —
-        # ``solve`` raises on non-optimal outcomes, so every returned
-        # LPSolution is optimal by construction.
-        assert not hasattr(LPSolution(0.0, {}), "optimal")
-
-    def test_counts(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
-        lp.add_constraint({"x": 1.0}, ">=", 0.0)
-        assert lp.num_variables == 1
-        assert lp.num_constraints == 1
+    def test_dual_is_the_transpose(self):
+        # min x + 2y s.t. x + y >= 4 has dual max 4u s.t. u <= 1, u <= 2.
+        primal = _lp([1.0, 2.0], [[-1.0, -1.0]], [-4.0])
+        dual = primal.dual()
+        assert (dual.matrix.toarray() == [[1.0], [1.0]]).all()
+        assert dual.solve(maximize=True).objective == pytest.approx(4.0)
