@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.core.classify import classification_flags, verdict
@@ -70,18 +71,27 @@ def _int_at_least(minimum: int, what: str):
     return parse
 
 
-def _positive_seconds(text: str) -> float:
-    """``argparse`` type for a deadline: a positive number of seconds
-    (a zero or negative budget could never answer)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if value is None or not value > 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive number of seconds, got {text!r}"
-        )
-    return value
+def _seconds(positive: bool):
+    """``argparse`` type for a finite number of seconds: ``positive``
+    for a deadline (a zero budget could never answer), else >= 0 for a
+    backoff or drain budget.  NaN and infinity never pass: a NaN
+    deadline never expires, and the server refuses both on the wire."""
+    what = "positive" if positive else "non-negative"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value) or value < 0 or (
+            positive and value == 0
+        ):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite, {what} number of seconds, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve_cmd.add_argument(
         "--deadline",
-        type=_positive_seconds,
+        type=_seconds(positive=True),
         default=None,
         metavar="SECONDS",
         help=(
@@ -338,15 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_at_least(0, "non-negative"),
         default=None,
         help=(
-            "worker processes for pooled batches (default: CPU count; "
-            "0 runs everything in-process)"
+            "accepted for compatibility; the server solves every "
+            "batch in-process"
         ),
-    )
-    serve_cmd.add_argument(
-        "--pool-threshold",
-        type=int,
-        default=4,
-        help="smallest batch worth the worker pool (default: 4)",
     )
     serve_cmd.add_argument(
         "--max-pending",
@@ -373,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--drain-seconds",
-        type=float,
+        type=_seconds(positive=False),
         default=5.0,
         help=(
             "graceful-drain budget for SIGTERM and shutdown "
@@ -410,11 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client_cmd.add_argument("--method", default=None)
     client_cmd.add_argument(
-        "--deadline", type=float, default=None,
+        "--deadline", type=_seconds(positive=True), default=None,
         help="per-request deadline in seconds (SolvePolicy)",
     )
     client_cmd.add_argument(
-        "--retries", type=int, default=0,
+        "--retries", type=_int_at_least(0, "non-negative"), default=0,
         help="per-request retries for transient failures",
     )
     client_cmd.add_argument(
@@ -432,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client_cmd.add_argument(
         "--retry-overloaded",
-        type=int,
+        type=_int_at_least(0, "non-negative"),
         default=0,
         metavar="N",
         help=(
@@ -442,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client_cmd.add_argument(
         "--backoff-seconds",
-        type=float,
+        type=_seconds(positive=False),
         default=0.05,
         help="base of the client retry backoff schedule (default: 0.05)",
     )
@@ -764,8 +768,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             unix_path=args.unix,
-            max_workers=args.jobs,
-            pool_threshold=args.pool_threshold,
             max_pending=args.max_pending,
             state_dir=args.state_dir,
             drain_seconds=args.drain_seconds,

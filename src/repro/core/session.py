@@ -383,16 +383,14 @@ class SolveSession:
                 shared.trace_key = _crc_fingerprint(origin.problem)
         return shared.trace_key
 
-    def export_shm(self, name: str | None = None) -> dict:
+    def export_shm(self) -> dict:
         """Publish the compiled arena into a named shared-memory segment
         (profile verdicts and pivot hints riding along) and return the
         manifest workers pass to :func:`repro.core.shm.attach_session`.
-        Idempotent; this process owns the segment until :meth:`close`.
-        ``name`` pins the segment name (see
-        :func:`repro.core.shm.export_arena`)."""
+        Idempotent; this process owns the segment until :meth:`close`."""
         from repro.core.shm import export_session
 
-        return export_session(self, name=name)
+        return export_session(self)
 
     def close(self) -> None:
         """Release this session's shared-memory segment, if any was

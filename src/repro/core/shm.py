@@ -268,7 +268,6 @@ def export_arena(
     document: Mapping[str, Any] | None = None,
     profile: Mapping[str, Any] | None = None,
     rooted: Mapping[str, Any] | None = None,
-    name: str | None = None,
 ) -> dict:
     """Publish ``arena``'s slabs into one named segment; return the
     manifest.
@@ -278,12 +277,6 @@ def export_arena(
     a bare ``CompiledProblem.export_shm()`` followed by
     ``SolveSession.export_shm()``).  The calling process owns the
     segment; see module docstring for lifetime rules.
-
-    ``name`` pins the segment name instead of drawing a random one —
-    the serve tier's durable journal derives it from the content hash
-    so a crashed predecessor's segment is *reapable by derivation*.  A
-    pinned name that already exists is presumed such an orphan (no live
-    owner could share the derivation): it is unlinked and re-created.
     """
     handle = arena._shm
     if isinstance(handle, _OwnedSegment):
@@ -312,22 +305,11 @@ def export_arena(
             "offset": offset,
         }
         offset += array.nbytes
-    segment_name = name or f"repro_{secrets.token_hex(6)}"
-    try:
-        shm = shared_memory.SharedMemory(
-            create=True, name=segment_name, size=max(1, offset)
-        )
-    except FileExistsError:
-        if name is None:  # pragma: no cover - token collision
-            raise
-        stale = shared_memory.SharedMemory(name=segment_name)
-        try:
-            stale.unlink()
-        finally:
-            stale.close()
-        shm = shared_memory.SharedMemory(
-            create=True, name=segment_name, size=max(1, offset)
-        )
+    shm = shared_memory.SharedMemory(
+        create=True,
+        name=f"repro_{secrets.token_hex(6)}",
+        size=max(1, offset),
+    )
     for slab, array in arrays:
         start = specs[slab]["offset"]
         target = np.frombuffer(
@@ -366,13 +348,12 @@ def export_arena(
     return manifest
 
 
-def export_session(session: "SolveSession", name: str | None = None) -> dict:
+def export_session(session: "SolveSession") -> dict:
     """Export a session's arena with the structural verdicts riding
     along: the profile dict and — when Algorithm 4 applies — the full
     pivot-rooted layout (parent / depth / component-id arrays over
     arena fact IDs), so attachers skip the structural probe *and* the
-    quadratic pivot search entirely.  ``name`` pins the segment name
-    (see :func:`export_arena`)."""
+    quadratic pivot search entirely."""
     profile = session.profile
     rooted_doc: dict[str, Any] | None = None
     if profile.dp_tree_applies:
@@ -404,7 +385,6 @@ def export_session(session: "SolveSession", name: str | None = None) -> dict:
         document=session.document,
         profile=profile_to_dict(profile),
         rooted=rooted_doc,
-        name=name,
     )
 
 

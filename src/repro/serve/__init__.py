@@ -1,19 +1,18 @@
-"""Long-lived solve service over the shared-memory arena.
+"""Long-lived solve service over the resident witness arena.
 
 ``repro.serve`` is the request front door for the compile-once
 solve-many layout: a stdlib-only asyncio server speaking newline-
 delimited JSON over TCP or a unix socket.  Instances are registered
-once by content hash (:func:`repro.core.shm.document_hash`), compiled
-into a shared :class:`~repro.core.session.SolveSession`, and exported
-to shared memory; every subsequent ΔV request is an O(‖ΔV‖) rebind
-against the resident arena — no parsing, no view materialization, no
-recompilation.
+once by content hash (:func:`repro.core.shm.document_hash`) and
+compiled into a resident :class:`~repro.core.session.SolveSession`;
+every subsequent ΔV request is an O(‖ΔV‖) rebind against the resident
+arena — no parsing, no view materialization, no recompilation.
 
 Each request is admitted under the :class:`~repro.core.resilience
 .SolvePolicy` contract (deadline / retries / fallback chain) and
-executed through :func:`repro.core.portfolio.run_delta_batch`, so the
-supervised worker pool — crash quarantine, hang reclamation, serial
-fallback — is the tier below the socket.  See
+executed in-process through :func:`repro.core.portfolio
+.run_delta_batch`; the supervised worker pool stays a library and CLI
+tool (``solve --portfolio``), not a serve path.  See
 :mod:`repro.serve.server` for the batching and admission rules,
 :mod:`repro.serve.journal` for the crash-safe registration journal,
 and :mod:`repro.serve.chaos` for the service-level chaos harness that

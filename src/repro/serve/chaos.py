@@ -7,7 +7,10 @@ sequence.  This module is the violence: a deterministic driver that
 boots *real* CLI server processes (``python -m repro.cli serve``),
 arms one fault from :mod:`repro.core.faultinject` per leg, drives
 traffic through :class:`~repro.serve.client.ServeClient`, and asserts
-the invariants the docs claim.
+the invariants the docs claim.  Every leg also checks that the server
+holds no shared-memory segment while it serves
+(``no-segments-while-serving``): registration compiles in-process and
+exports nothing.
 
 Legs (each independent; ``run_leg`` returns a structured report):
 
@@ -20,12 +23,6 @@ Legs (each independent; ``run_leg`` returns a structured report):
     ``partial@serve-write:solve`` — half a response line reaches the
     wire, then the stream dies.  Same obligations as the drop leg; the
     client must not accept the torn line as an answer.
-``segment-loss``
-    A live instance's shared-memory segment is unlinked out from under
-    the server (no fault env needed — the driver does it, as an
-    operator's errant ``rm /dev/shm/...`` would).  Serving must
-    continue correctly from the resident arena and shutdown must stay
-    clean.
 ``batcher-death``
     ``transient@serve-batcher`` — the per-instance group-commit task
     dies mid-batch.  In-flight requests must fail loudly (``internal``)
@@ -63,7 +60,6 @@ __all__ = ["LEGS", "run_leg", "run_all"]
 LEGS = (
     "connection-drop",
     "partial-write",
-    "segment-loss",
     "batcher-death",
     "kill-restart",
 )
@@ -247,6 +243,13 @@ def _solve_canonical(client, instance: str, deletions: dict) -> str:
     return _canonical(client.solve(instance, deletions)["solution"])
 
 
+def _check_no_segments(leg: _Leg, client) -> None:
+    """Call after a register and a solve: the server exports nothing."""
+    segments = client.health()["segments"]
+    leg.check("no-segments-while-serving", segments["active"] == 0,
+              str(segments))
+
+
 def _leg_wire_fault(leg: _Leg, workdir: Path, seed: int, mode: str) -> None:
     """Shared body of the connection-drop and partial-write legs."""
     from repro.serve import ServeClient
@@ -280,42 +283,7 @@ def _leg_wire_fault(leg: _Leg, workdir: Path, seed: int, mode: str) -> None:
                 == expected,
                 "a fresh connection must get the fault-free answer",
             )
-            leg.check("still-ready", client.health()["ready"])
-        rc = server.stop()
-        leg.check("clean-exit", rc == 0, f"exit code {rc}")
-    finally:
-        if server.proc.poll() is None:  # pragma: no cover - on failure
-            server.proc.kill()
-            server.wait()
-    leaked = _repro_segments() - before
-    leg.check("zero-leaked-segments", not leaked, f"leaked: {sorted(leaked)}")
-
-
-def _leg_segment_loss(leg: _Leg, workdir: Path, seed: int) -> None:
-    from repro.serve import ServeClient
-
-    doc = _problem_doc(seed)
-    expected = _local_answer(doc)
-    before = _repro_segments()
-    server = _ServerProc(workdir, leg.name, state_dir=workdir / "state")
-    try:
-        server.wait_ready()
-        with ServeClient.connect(server.address) as client:
-            instance = client.register(doc)
-            health = client.health()
-            names = health["segments"]["per_instance"].get(instance, [])
-            leg.check("segment-exported", bool(names), str(names))
-            for name in names:
-                target = _SHM_DIR / name
-                if target.exists():
-                    target.unlink()
-            leg.check(
-                "answer-survives-loss",
-                _solve_canonical(client, instance, doc["deletions"])
-                == expected,
-                "the resident arena, not the export, is the source of "
-                "truth for in-process solves",
-            )
+            _check_no_segments(leg, client)
             leg.check("still-ready", client.health()["ready"])
         rc = server.stop()
         leg.check("clean-exit", rc == 0, f"exit code {rc}")
@@ -359,6 +327,7 @@ def _leg_batcher_death(leg: _Leg, workdir: Path, seed: int) -> None:
                 == expected,
                 "the next solve must respawn the group-commit loop",
             )
+            _check_no_segments(leg, client)
             pool = client.health()["pool"]
             leg.check(
                 "batcher-alive",
@@ -466,6 +435,7 @@ def _leg_kill_restart(leg: _Leg, workdir: Path, seed: int) -> None:
                 == answer1,
                 "acknowledged state survives SIGKILL bitwise",
             )
+            _check_no_segments(leg, client)
             info = client.register_info(doc_b)
             leg.check(
                 "phase3-reregister-lost",
@@ -499,8 +469,6 @@ def run_leg(name: str, workdir: str | os.PathLike, seed: int = 6) -> dict:
         _leg_wire_fault(leg, base, seed, "drop")
     elif name == "partial-write":
         _leg_wire_fault(leg, base, seed, "partial")
-    elif name == "segment-loss":
-        _leg_segment_loss(leg, base, seed)
     elif name == "batcher-death":
         _leg_batcher_death(leg, base, seed)
     else:

@@ -217,7 +217,7 @@ class ServeClient:
 
     def register_info(self, problem_doc: Mapping[str, Any]) -> dict:
         """Like :meth:`register` but returns the full response
-        (``cached``, ``shared``, ``profile``)."""
+        (``cached``, ``profile``)."""
         return self.request({"op": "register", "problem": dict(problem_doc)})
 
     def unregister(self, instance: str) -> None:

@@ -1,16 +1,16 @@
 """Durable registration journal for the solve service.
 
 The serve layer's resident instances (parsed document, compiled arena,
-shared-memory export, cached profile) live in process memory: a SIGKILL
+cached profile) live in process memory: a SIGKILL
 used to erase them all, and every client had to re-register after a
 restart.  This module makes registration *durable*: every successful
 ``register`` appends one JSON record to an append-only journal under
 the server's ``--state-dir`` and ``fsync``\\ s it before the client
 hears ``ok`` — the acknowledgement **is** the durability point.  On
-startup the server replays the journal (re-parse, re-compile,
-re-export) so a killed server restarts with its instances warm, and
-each replayed instance is verified bitwise against its pre-crash
-manifest via the recorded content hash.
+startup the server replays the journal (re-parse, re-compile) so a
+killed server restarts with its instances warm, and each replayed
+instance is verified bitwise against its pre-crash record via the
+recorded content hash.
 
 Design notes, in the order they matter:
 
@@ -28,11 +28,12 @@ Design notes, in the order they matter:
   *compacted*: the live registration set is written to a temp file,
   fsynced, and atomically renamed over the old journal (the previous
   file is kept as one ``.1`` generation for post-mortems).
-* **Stale segment reaping.**  Each record carries the shared-memory
-  segment names its registration exported.  A killed server never ran
-  its finalizers, so those ``/dev/shm`` entries outlive it; replay
-  unlinks every recorded name before re-exporting, which is what keeps
-  the kill-restart chaos invariant — zero leaked segments — true.
+* **Stale segment reaping.**  Records written by older servers, which
+  exported each registration to shared memory, carry the segment
+  names they exported.  A killed server never ran its finalizers, so
+  those ``/dev/shm`` entries outlive it; replay unlinks every recorded
+  name.  Current servers export nothing at registration, so their
+  records name no segment.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ class JournalRecord:
     ``op`` is ``"register"`` or ``"unregister"``.  Registrations carry
     the *canonical* problem document (the bytes the content hash is
     computed over — re-serialization drift cannot change identity on
-    replay), the structure profile, the registration options in force,
-    and the exported shared-memory segment names.
+    replay), the structure profile, and the registration options in
+    force.  ``segments`` is read from records written by older,
+    exporting servers, so replay can reap what they left behind.
     """
 
     op: str
@@ -214,7 +216,6 @@ class RegistrationJournal:
         problem: Mapping[str, Any],
         profile: Mapping[str, Any] | None,
         options: Mapping[str, Any] | None = None,
-        segments: Iterable[str] = (),
     ) -> None:
         self.append(
             JournalRecord(
@@ -223,7 +224,6 @@ class RegistrationJournal:
                 problem=problem,
                 profile=profile,
                 options=dict(options or {}),
-                segments=tuple(segments),
             )
         )
 

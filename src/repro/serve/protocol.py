@@ -12,7 +12,7 @@ Operations (see :class:`repro.serve.server.SolveServer` for semantics):
 
 ``register``
     ``{"op": "register", "problem": <problem document>}`` →
-    ``{"ok": true, "instance": <hash>, "cached": bool, "shared": bool,
+    ``{"ok": true, "instance": <hash>, "cached": bool,
     "profile": {...}}``
 ``solve``
     ``{"op": "solve", "instance": <hash>, "deletions": {view: [row..]},
@@ -23,8 +23,8 @@ Operations (see :class:`repro.serve.server.SolveServer` for semantics):
     Same, with ``"requests": [<deletions>, ...]`` and a ``"results"``
     array (one entry per request, errors inline).
 ``health``
-    ``{"op": "health"}`` → readiness/draining flags, pool
-    configuration, journal lag, active shared-memory segment count,
+    ``{"op": "health"}`` → readiness/draining flags, batcher
+    liveness, journal lag, active shared-memory segment count,
     per-route circuit-breaker states, and in-flight watermarks.
 ``shutdown``
     ``{"op": "shutdown", "mode"?: "now"|"drain"}``.  ``now`` (the
@@ -46,12 +46,15 @@ jittered backoff.
 The policy document mirrors
 :meth:`repro.core.resilience.SolvePolicy.as_dict`; absent fields take
 the dataclass defaults, so ``{"deadline_seconds": 0.5}`` is a complete
-contract.
+contract.  A field of the wrong type or range is a ``bad-request``
+(see :func:`policy_from_doc`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from typing import Any, Mapping
 
 from repro.errors import ReproError
@@ -115,25 +118,46 @@ def policy_to_doc(policy) -> dict | None:
     return None if policy is None else policy.as_dict()
 
 
+def _check_number(
+    name: str, value: Any, kinds: Any = (int, float), positive: bool = False
+) -> None:
+    """Reject a policy value that is not a finite ``>= 0`` (or, with
+    ``positive``, ``> 0``) instance of ``kinds``; bools never pass.
+    ``json.loads`` accepts ``NaN``, and a NaN deadline never expires."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kinds)
+        or (isinstance(value, float) and not math.isfinite(value))
+        or (value <= 0 if positive else value < 0)
+    ):
+        what = "an integer" if kinds is int else "a finite number"
+        bound = "> 0" if positive else ">= 0"
+        raise ProtocolError(
+            f"policy {name!r} must be {what} {bound}, got {value!r}"
+        )
+
+
 def policy_from_doc(doc: Mapping[str, Any] | None):
     """Wire document → ``SolvePolicy`` (``None``/``{}`` → no policy).
 
     Unknown fields are rejected rather than ignored — a client that
     misspells ``deadline_seconds`` should hear about it, not run
-    unbounded.
+    unbounded — and so is every value of the wrong type or range:
+    ``deadline_seconds`` is a finite number > 0 or null, ``retries`` an
+    integer >= 0, each ``backoff_*`` a finite number >= 0, and
+    ``fallback`` a method name (comma-separated) or a list of names.
     """
+    if doc is None:
+        return None
+    if not isinstance(doc, Mapping):
+        raise ProtocolError(
+            f"'policy' must be an object, got {type(doc).__name__}"
+        )
     if not doc:
         return None
     from repro.core.resilience import SolvePolicy, parse_fallback
 
-    known = {
-        "deadline_seconds",
-        "retries",
-        "backoff_seconds",
-        "backoff_factor",
-        "backoff_jitter",
-        "fallback",
-    }
+    known = {field.name for field in dataclasses.fields(SolvePolicy)}
     unknown = set(doc) - known
     if unknown:
         raise ProtocolError(
@@ -141,9 +165,24 @@ def policy_from_doc(doc: Mapping[str, Any] | None):
             f"known: {sorted(known)}"
         )
     fields = dict(doc)
+    if fields.get("deadline_seconds") is not None:
+        _check_number(
+            "deadline_seconds", fields["deadline_seconds"], positive=True
+        )
+    if "retries" in fields:
+        _check_number("retries", fields["retries"], kinds=int)
+    for name in ("backoff_seconds", "backoff_factor", "backoff_jitter"):
+        if name in fields:
+            _check_number(name, fields[name])
     if "fallback" in fields:
-        fields["fallback"] = parse_fallback(fields["fallback"])
-    try:
-        return SolvePolicy(**fields)
-    except TypeError as exc:  # pragma: no cover - guarded by `known`
-        raise ProtocolError(f"bad policy document: {exc}") from exc
+        fallback = fields["fallback"]
+        if not isinstance(fallback, str) and not (
+            isinstance(fallback, list)
+            and all(isinstance(method, str) for method in fallback)
+        ):
+            raise ProtocolError(
+                "policy 'fallback' must be a string or a list of "
+                f"strings, got {fallback!r}"
+            )
+        fields["fallback"] = parse_fallback(fallback)
+    return SolvePolicy(**fields)

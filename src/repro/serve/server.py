@@ -8,20 +8,19 @@ share everywhere, bound every request*:
    ``id`` and may be pipelined.
 2. **Resident instances**: ``register`` parses a problem document once,
    compiles its :class:`~repro.core.session.SolveSession` (structure
-   profile + witness arena), exports the arena to shared memory, and
-   files it under its content hash.  Re-registering an identical
-   document is a cache hit — no parse, no compile.
+   profile + witness arena), and files it under its content hash.
+   Re-registering an identical document is a cache hit — no parse, no
+   compile.
 3. **Execution**: ΔV requests against one instance are *micro-batched*
    by a per-instance group-commit loop: while one batch executes,
    arriving requests accumulate; when it finishes, the accumulated
    queue runs as the next batch through
-   :func:`repro.core.portfolio.run_delta_batch`.  Small batches run
-   serially in-process (a ΔV rebind against the resident arena is
-   micro-seconds-to-milliseconds); batches of at least
-   ``pool_threshold`` requests run on the supervised worker pool,
-   whose workers attach the exported arena by manifest instead of
-   re-priming.  Either way every request is admitted under its own
-   :class:`~repro.core.resilience.SolvePolicy` contract.
+   :func:`repro.core.portfolio.run_delta_batch`, always in-process
+   with no worker pool: a served ΔV request touches only the ΔV's
+   dependents in the resident arena, so a worker pool's start-up
+   would cost more than the batch.  Every request is admitted under
+   its own :class:`~repro.core.resilience.SolvePolicy` contract,
+   whose deadline is cooperative.
 
 Admission control is **tiered** rather than a single binary reject:
 per-instance load (queued *plus* in-flight requests) and a global
@@ -40,21 +39,22 @@ tail) or rejected with code ``circuit-open`` when no fallback exists.
 
 Durability: with a ``state_dir``, every acknowledged registration is
 appended (fsync-before-ack) to the :class:`~repro.serve.journal
-.RegistrationJournal`.  On startup the journal is replayed — stale
-``/dev/shm`` segments from a killed predecessor are reaped, every
-recorded document is re-parsed, re-compiled, and re-exported, and the
-recompiled content hash is verified against the pre-crash record — so
-a SIGKILLed server restarts with its resident instances warm.
+.RegistrationJournal`.  On startup the journal is replayed — every
+recorded document is re-parsed and re-compiled, and the recompiled
+content hash is verified against the pre-crash record — so a
+SIGKILLed server restarts with its resident instances warm.  Records
+written by older servers may still name exported ``/dev/shm``
+segments; replay reaps those.
 
 Shutdown has two modes.  ``mode: "now"`` (the ``shutdown`` op default,
 :meth:`SolveServer.close`, context exit) drains nothing: pending
-requests get ``shutting-down`` errors, sessions are closed, and every
-exported shared-memory segment is released — a clean exit leaves
-``/dev/shm`` exactly as it found it.  ``mode: "drain"`` (also wired to
-SIGTERM by the CLI) flips the server to draining — readiness goes
-false, new solves are rejected with code ``draining`` — lets in-flight
-batches finish under a :class:`~repro.core.resilience.Deadline` drain
-budget, then closes cleanly.
+requests get ``shutting-down`` errors and sessions are closed.  The
+server exports nothing to shared memory, so ``/dev/shm`` stays exactly
+as it found it.  ``mode: "drain"`` (also wired to SIGTERM by the CLI)
+flips the server to draining — readiness goes false, new solves are
+rejected with code ``draining`` — lets in-flight batches finish under
+a :class:`~repro.core.resilience.Deadline` drain budget, then closes
+cleanly.
 """
 
 from __future__ import annotations
@@ -117,7 +117,6 @@ class ServeStats:
     solves: int = 0
     solve_errors: int = 0
     batches: int = 0
-    pooled_batches: int = 0
     rejected: int = 0
     protocol_errors: int = 0
     internal_errors: int = 0
@@ -150,7 +149,6 @@ class ServeStats:
             "solves": self.solves,
             "solve_errors": self.solve_errors,
             "batches": self.batches,
-            "pooled_batches": self.pooled_batches,
             "rejected": self.rejected,
             "protocol_errors": self.protocol_errors,
             "internal_errors": self.internal_errors,
@@ -176,20 +174,10 @@ class _Registered:
     instance_id: str
     problem: Any
     session: Any
-    shared: bool  #: arena exported to shared memory (workers can attach)
     profile: dict
-    #: shared-memory manifest (``None`` when the arena never exported);
-    #: its ``segment`` name is journaled for post-kill segment reaping.
-    manifest: dict | None = None
     solves: int = 0
     #: serializes thread-side execution: sessions are not thread-safe.
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-
-    @property
-    def segments(self) -> tuple[str, ...]:
-        if self.manifest is None:
-            return ()
-        return (self.manifest["segment"],)
 
 
 class Rejection(Exception):
@@ -236,12 +224,6 @@ class SolveServer:
         ``unix_path`` is given.
     unix_path:
         Serve on a unix domain socket instead of TCP.
-    max_workers:
-        Worker processes for pooled batches (``None``: CPU count,
-        ``0``: never pool — everything runs serially in-process).
-    pool_threshold:
-        Minimum batch size that is worth the pool's dispatch overhead;
-        smaller batches run serially against the resident session.
     max_pending:
         Per-instance hard watermark: queued **plus in-flight** requests
         before new solves are rejected outright (at least 1).
@@ -270,8 +252,6 @@ class SolveServer:
         host: str = "127.0.0.1",
         port: int = 0,
         unix_path: str | None = None,
-        max_workers: int | None = None,
-        pool_threshold: int = 4,
         max_pending: int = 1024,
         max_global_pending: int | None = None,
         soft_watermark: float = 0.75,
@@ -287,13 +267,9 @@ class SolveServer:
         # a retrying client would loop forever: refuse to start instead.
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if max_workers is not None and max_workers < 0:
-            raise ValueError(f"max_workers must be >= 0, got {max_workers}")
         self._host = host
         self._port = port
         self._unix_path = unix_path
-        self.max_workers = max_workers
-        self.pool_threshold = max(2, pool_threshold)
         self.max_pending = max_pending
         self.max_global_pending = (
             4 * max_pending if max_global_pending is None
@@ -389,8 +365,7 @@ class SolveServer:
         await self.close()
 
     async def close(self) -> None:
-        """Stop listening, fail pending work, release every session and
-        its shared-memory segment."""
+        """Stop listening, fail pending work, release every session."""
         if self._closing:
             return
         self._closing = True
@@ -442,15 +417,6 @@ class SolveServer:
         acknowledgement the caller sends is the durability point.
         ``journal=False`` is the replay path (the record already
         exists).
-
-        Ordering is crash-safety-critical: the journal record lands
-        *before* the shared-memory export, and the segment name is
-        *derived from the content hash* rather than drawn at random.
-        A SIGKILL mid-append therefore leaks nothing (the export never
-        ran); a SIGKILL any time after the append leaks only a segment
-        whose name the journal record predicts, which replay reaps.
-        Random names with export-first ordering had an unreapable
-        window between export and append.
         """
         from repro.core.shm import document_hash
         from repro.io.serialize import problem_from_dict
@@ -462,7 +428,7 @@ class SolveServer:
             return known, True
 
         problem = problem_from_dict(doc)
-        from repro.core.portfolio import _prime_session, _session_manifest
+        from repro.core.portfolio import _prime_session
 
         session = _prime_session(problem)
         instance_id = session.content_hash
@@ -473,52 +439,28 @@ class SolveServer:
             return instance_id, True
 
         profile = session.profile.as_dict()
-        pinned: str | None = None
-        if self._journal is not None and session.profile.key_preserving:
-            pinned = self._segment_name(document_hash(session.document))
         if journal and self._journal is not None:
             self._journal.append_register(
                 instance_id,
                 session.document,
                 profile,
                 options=self._registration_options(),
-                segments=(pinned,) if pinned is not None else (),
             )
-        if pinned is not None:
-            try:
-                manifest = session.export_shm(name=pinned)
-            except Exception:  # pragma: no cover - no usable POSIX shm
-                manifest = None
-        else:
-            manifest = _session_manifest(session)
-        entry = _Registered(
+        self._registry[instance_id] = _Registered(
             instance_id=instance_id,
             problem=problem,
             session=session,
-            shared=manifest is not None,
             profile=profile,
-            manifest=manifest,
         )
-        self._registry[instance_id] = entry
         self._doc_alias[raw_hash] = instance_id
         self.stats.registered += 1
         return instance_id, False
-
-    @staticmethod
-    def _segment_name(canonical_hash: str) -> str:
-        """The journaled server's pinned segment name for an instance:
-        a pure function of the canonical document's sha256, so a
-        restarted server can reap a crashed predecessor's export by
-        derivation alone (and the journal record written *before* the
-        export can already name it)."""
-        return f"repro_j{canonical_hash[:16]}"
 
     def _registration_options(self) -> dict[str, Any]:
         """The registration-time serving options journaled with each
         instance, so a replayed registry documents the contract it was
         admitted under."""
         return {
-            "pool_threshold": self.pool_threshold,
             "max_pending": self.max_pending,
             "default_method": self.default_method,
         }
@@ -526,18 +468,19 @@ class SolveServer:
     def replay_journal(self) -> int:
         """Rebuild the resident registry from the durable journal.
 
-        For every live journal record: reap the stale shared-memory
-        segment a killed predecessor leaked, re-parse and re-compile
-        the recorded canonical document, re-export it, and verify the
-        recompiled instance **bitwise** against the pre-crash record —
-        the content hash covers the canonical document bytes, and the
-        recomputed structure profile must match the recorded one.  Any
-        divergence raises :class:`~repro.serve.journal.JournalError`
-        (serving silently different answers than were acknowledged is
-        the one thing a durable registry must never do).
+        Reap any shared-memory segment the records name (only records
+        written by older, exporting servers name one).  Then, for every
+        live record, re-parse and re-compile the recorded canonical
+        document and verify the recompiled instance **bitwise** against
+        the pre-crash record — the content hash covers the canonical
+        document bytes, and the recomputed structure profile must match
+        the recorded one.  Any divergence raises
+        :class:`~repro.serve.journal.JournalError` (serving silently
+        different answers than were acknowledged is the one thing a
+        durable registry must never do).
 
-        Ends with a compaction reflecting the *new* segment names, so
-        the on-disk journal always describes the current incarnation.
+        Ends with a compaction, so the on-disk journal always describes
+        the current incarnation (and names no reaped segment again).
         Returns the number of instances restored.
         """
         assert self._journal is not None
@@ -575,7 +518,6 @@ class SolveServer:
                     problem=entry.session.document,
                     profile=entry.profile,
                     options=self._registration_options(),
-                    segments=entry.segments,
                 )
                 for entry in self._registry.values()
             ]
@@ -704,7 +646,6 @@ class SolveServer:
             "instances": [
                 {
                     "instance": entry.instance_id,
-                    "shared": entry.shared,
                     "solves": entry.solves,
                 }
                 for entry in self._registry.values()
@@ -718,13 +659,11 @@ class SolveServer:
         instance_id, cached = await asyncio.to_thread(
             self.register_document, doc
         )
-        entry = self._registry[instance_id]
         return {
             "ok": True,
             "instance": instance_id,
             "cached": cached,
-            "shared": entry.shared,
-            "profile": entry.profile,
+            "profile": self._registry[instance_id].profile,
         }
 
     async def _op_unregister(self, message: dict) -> dict:
@@ -841,9 +780,6 @@ class SolveServer:
                     "soft_watermark": self.soft_watermark,
                 },
                 "pool": {
-                    "max_workers": self.max_workers,
-                    "pool_threshold": self.pool_threshold,
-                    "pooled_batches": self.stats.pooled_batches,
                     "batchers": len(self._batchers),
                     "batchers_alive": sum(
                         1 for batcher in self._batchers.values()
@@ -855,13 +791,7 @@ class SolveServer:
                     if self._journal is None
                     else {"enabled": True, **self._journal.lag()}
                 ),
-                "segments": {
-                    "active": len(active_segments()),
-                    "per_instance": {
-                        entry.instance_id: list(entry.segments)
-                        for entry in self._registry.values()
-                    },
-                },
+                "segments": {"active": len(active_segments())},
                 "breakers": {
                     route: breaker.as_dict()
                     for route, breaker in sorted(self._breakers.items())
@@ -1086,25 +1016,21 @@ class SolveServer:
         method: str,
         policy,
     ) -> list[dict]:
-        """Thread-side: run one batch and render outcome documents.
+        """Thread-side: run one batch in-process and render outcome
+        documents.
 
         Runs under ``entry.lock`` — one batch per instance at a time;
-        parallelism comes from the pool underneath, not from racing
-        threads over a shared session.
+        sessions are not safe to share between racing threads.
         """
         from repro.core.portfolio import run_delta_batch
         from repro.io.serialize import solution_to_dict
 
-        pooled = len(requests) >= self.pool_threshold
-        max_workers = self.max_workers if pooled else 0
         self.stats.batches += 1
-        if pooled and (max_workers is None or max_workers > 0):
-            self.stats.pooled_batches += 1
         outcomes = run_delta_batch(
             entry.problem,
             requests,
             method=method,
-            max_workers=max_workers,
+            max_workers=0,
             policy=policy,
         )
         results = []
@@ -1202,17 +1128,9 @@ class _Batcher:
                 # one (method, policy) pair per call.
                 groups: dict[tuple, list[_PendingSolve]] = {}
                 for item in batch:
-                    key = (item.method, None) if item.policy is None else (
-                        item.method,
-                        tuple(
-                            (name, tuple(value) if isinstance(value, list)
-                             else value)
-                            for name, value in sorted(
-                                item.policy.as_dict().items()
-                            )
-                        ),
-                    )
-                    groups.setdefault(key, []).append(item)
+                    groups.setdefault(
+                        (item.method, item.policy), []
+                    ).append(item)
                 for items in groups.values():
                     try:
                         async with self._entry.lock:

@@ -94,16 +94,13 @@ def test_export_is_idempotent():
 def test_each_export_gets_its_own_segment():
     first = SolveSession.of(make_case("chain", random.Random(5)).problem)
     second = SolveSession.of(make_case("star", random.Random(6)).problem)
-    pinned = SolveSession.of(make_case("forest", random.Random(7)).problem)
     try:
         names = [
             first.export_shm()["segment"],
             second.export_shm()["segment"],
-            pinned.export_shm(name="repro_jtestpinned")["segment"],
         ]
         assert names[0] != names[1]
-        assert all(name.startswith("repro_") for name in names[:2])
-        assert names[2] == "repro_jtestpinned"
+        assert all(name.startswith("repro_") for name in names)
         attached = attach_session(first.export_shm())
         assert (
             attached.arena.wit_indices.tobytes()
@@ -111,7 +108,7 @@ def test_each_export_gets_its_own_segment():
         )
         attached.close()
     finally:
-        for session in (first, second, pinned):
+        for session in (first, second):
             session.close()
 
 

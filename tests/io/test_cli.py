@@ -220,6 +220,43 @@ class TestEntryPoint:
         assert "Traceback" not in result.stderr
         assert f"argument {argv[-2]}" in result.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["client", "ping", "--deadline", "0"],
+            ["client", "ping", "--deadline", "nan"],
+            ["client", "ping", "--deadline", "inf"],
+            ["client", "ping", "--retries", "-1"],
+            ["client", "ping", "--retry-overloaded", "-1"],
+            ["client", "ping", "--backoff-seconds", "-0.5"],
+            ["client", "ping", "--backoff-seconds", "nan"],
+            ["serve", "--drain-seconds", "inf"],
+            ["serve", "--jobs", "-1"],
+        ],
+    )
+    def test_degenerate_client_and_serve_flags_are_usage_errors(self, argv):
+        result = _run_cli(*argv)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"argument {argv[-2]}" in result.stderr
+
+    def test_serve_pool_threshold_flag_is_gone(self):
+        result = _run_cli("serve", "--pool-threshold", "4")
+        assert result.returncode == 2
+        assert "unrecognized arguments: --pool-threshold" in result.stderr
+
+    def test_boundary_client_and_serve_flags_accepted(self):
+        parser = build_parser()
+        args = parser.parse_args(
+            ["client", "ping", "--deadline", "0.5", "--retries", "0",
+             "--retry-overloaded", "0", "--backoff-seconds", "0"]
+        )
+        assert (args.deadline, args.retries, args.retry_overloaded,
+                args.backoff_seconds) == (0.5, 0, 0, 0.0)
+        args = parser.parse_args(["serve", "--drain-seconds", "0",
+                                  "--jobs", "2"])
+        assert (args.drain_seconds, args.jobs) == (0.0, 2)
+
     def test_boundary_solve_flags_accepted(self, problem_file):
         args = build_parser().parse_args(
             ["solve", problem_file, "--retries", "0", "--jobs", "0",

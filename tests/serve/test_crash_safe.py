@@ -106,7 +106,7 @@ def test_soft_shed_reads_the_parsed_policy():
 
     async def main():
         server = _bare_server(max_pending=4, max_global_pending=8,
-                              soft_watermark=0.5, max_workers=0)
+                              soft_watermark=0.5)
         try:
             instance, _ = server.register_document(doc)
             server._inflight_global = 4  # at the soft global watermark
@@ -388,7 +388,10 @@ def test_health_surface(tmp_path):
             health = client.health()
             assert health["instances"] == 1
             assert health["journal"]["appends"] == 1
-            assert instance in health["segments"]["per_instance"]
+            assert health["segments"] == {"active": 0}
+            assert instance in [
+                entry["instance"] for entry in client.stats()["instances"]
+            ]
             assert health["pool"]["batchers_alive"] == 1
             assert isinstance(health["breakers"], dict)
     finally:
@@ -457,6 +460,48 @@ def test_replay_restores_instances_across_server_lifetimes(tmp_path):
             assert client.register_info(doc)["cached"] is True
     finally:
         _shutdown(second[0], second[1])
+
+
+def test_replay_reaps_segments_an_older_journal_names(tmp_path):
+    """Servers that exported at registration journaled the segment
+    name; replay still reaps such a leftover, and the compacted
+    journal names it no more."""
+    import os
+    from multiprocessing import shared_memory
+
+    from repro.serve.journal import JournalRecord, RegistrationJournal
+
+    state = str(tmp_path / "state")
+    name = f"repro_jtestold{os.getpid()}"
+
+    async def main():
+        first = SolveServer(state_dir=state)
+        instance, _ = first.register_document(_doc(35))
+        entry = first._registry[instance]
+        record = JournalRecord(
+            op="register", instance=instance,
+            problem=entry.session.document, profile=entry.profile,
+            segments=(name,),
+        )
+        await first.close()
+        journal = RegistrationJournal(state)
+        journal.compact([record])
+        journal.close()
+        segment = shared_memory.SharedMemory(create=True, name=name, size=16)
+        segment.close()
+        second = SolveServer(state_dir=state)
+        try:
+            return instance, second.replay_journal(), list(second._registry)
+        finally:
+            await second.close()
+
+    instance, replayed, registry = asyncio.run(main())
+    assert (replayed, registry) == (1, [instance])
+    with pytest.raises(FileNotFoundError):
+        shared_memory.SharedMemory(name=name)
+    journal = RegistrationJournal(state)
+    assert [record.segments for record in journal.replay()] == [()]
+    journal.close()
 
 
 def test_unregister_tombstone_survives_restart(tmp_path):

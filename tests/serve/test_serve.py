@@ -9,11 +9,14 @@ import threading
 
 import pytest
 
+from repro.core import portfolio
+from repro.core.portfolio import run_delta_batch
 from repro.core.registry import solve
 from repro.core.shm import active_segments
 from repro.fuzz.generator import make_case
-from repro.io.serialize import problem_to_dict
+from repro.io.serialize import problem_to_dict, solution_to_dict
 from repro.serve import ServeClient, SolveServer
+from repro.serve.chaos import _repro_segments
 from repro.serve.client import ServeError
 from repro.serve.protocol import (
     ProtocolError,
@@ -51,6 +54,10 @@ def test_policy_from_doc():
     assert policy.fallback == ("claim1",)
     with pytest.raises(ProtocolError):
         policy_from_doc({"deadline_secnods": 1.0})  # typo must not pass
+    with pytest.raises(ProtocolError):
+        policy_from_doc([1])  # not an object
+    # Validated policies are hashable: the batcher groups by them.
+    assert hash(policy) == hash(policy_from_doc(policy.as_dict()))
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +123,29 @@ def test_register_solve_matches_local(tmp_path):
         thread.join(timeout=30)
 
 
-def test_solve_batch_and_policy_admission(tmp_path):
+_MALFORMED_POLICIES = [
+    {"deadline_sec": 1},  # typo
+    {"fallback": 5},
+    {"fallback": [["a"]]},
+    {"fallback": [1, 2]},
+    {"fallback": None},
+    {"deadline_seconds": "abc"},
+    {"deadline_seconds": float("nan")},
+    {"deadline_seconds": float("inf")},
+    {"deadline_seconds": 0},
+    {"deadline_seconds": True},
+    {"retries": "x"},
+    {"retries": -1},
+    {"retries": 1.5},
+    {"retries": True},
+    {"backoff_seconds": -0.1},
+    {"backoff_factor": [1]},
+    {"backoff_jitter": float("nan")},
+    {"backoff_seconds": None},
+]
+
+
+def test_solve_batch_and_policy_admission(tmp_path, caplog):
     problem = _case_problem(12)
     doc = problem_to_dict(problem)
     address, thread = _serve(tmp_path)
@@ -133,57 +162,70 @@ def test_solve_batch_and_policy_admission(tmp_path):
             # The policy rode along: the resilience trace shows the
             # attempt loop ran for each request.
             assert all(result["attempts"] for result in results)
+            assert client.solve(
+                instance, doc["deletions"],
+                policy={"deadline_seconds": None, "fallback": ["claim1"]},
+            )["solution"]
 
-            with pytest.raises(ServeError) as excinfo:
-                client.solve(
-                    instance,
-                    doc["deletions"],
-                    policy={"deadline_sec": 1},
-                )
-            assert excinfo.value.code == "bad-request"
+            for policy in _MALFORMED_POLICIES:
+                for send in (
+                    lambda: client.solve(
+                        instance, doc["deletions"], policy=policy
+                    ),
+                    lambda: client.solve_batch(
+                        instance, [doc["deletions"]], policy=policy
+                    ),
+                ):
+                    with pytest.raises(ServeError) as excinfo:
+                        send()
+                    assert excinfo.value.code == "bad-request", policy
+            assert client.stats()["stats"]["internal_errors"] == 0
+        assert "internal error" not in caplog.text
     finally:
         with ServeClient.connect(address) as client:
             client.shutdown()
         thread.join(timeout=30)
 
 
-def test_pooled_batch_answers_the_right_instance(tmp_path):
-    """Each registered instance exports its own segment, so pool
-    workers attach the instance the batch names even after another
-    instance registered later."""
-    first, second = _case_problem(21), _case_problem(22)
-    requests = [
+def test_serve_path_never_pools_or_exports(tmp_path, monkeypatch):
+    """A journaled server answers a batch of 8 in-process: no worker
+    pool is built, no shared-memory segment appears, and the answers
+    are the serial batch runner's."""
+    problem = _case_problem()
+    doc = problem_to_dict(problem)
+    singles = [
         {vt.view: [list(vt.values)]}
-        for vt in sorted(first.deleted_view_tuples())[:4]
+        for vt in sorted(problem.deleted_view_tuples())
     ]
+    requests = (([doc["deletions"]] + singles) * 8)[:8]
     expected = [
-        sorted(
-            [fact.relation, list(fact.values)]
-            for fact in solve(first.with_deletions(request)).deleted_facts
-        )
-        for request in requests
+        solution_to_dict(outcome.propagation)
+        for outcome in run_delta_batch(problem, requests, max_workers=0)
     ]
-    before = set(active_segments())
-    address, thread = _serve(tmp_path, max_workers=2, pool_threshold=2)
-    try:
-        with ServeClient.connect(address) as client:
-            instance = client.register(problem_to_dict(first))
-            client.register(problem_to_dict(second))
-            assert len(set(active_segments()) - before) == 2
-            results = client.solve_batch(instance, requests)
-            served = [
-                sorted(
-                    [entry["relation"], entry["values"]]
-                    for entry in result["solution"]["deleted_facts"]
-                )
-                for result in results
-            ]
-            assert served == expected
-            assert client.stats()["stats"]["pooled_batches"] == 1
-    finally:
-        with ServeClient.connect(address) as client:
-            client.shutdown()
-        thread.join(timeout=30)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the serve path built a worker pool")
+
+    monkeypatch.setattr(portfolio, "ProcessPoolExecutor", no_pool)
+    before = _repro_segments()
+
+    async def main():
+        server = SolveServer(state_dir=str(tmp_path / "state"))
+        try:
+            instance, _ = server.register_document(doc)
+            response, _ = await server._dispatch(encode_message({
+                "op": "solve_batch",
+                "instance": instance,
+                "requests": requests,
+            }))
+            return response, _repro_segments() - before
+        finally:
+            await server.close()
+
+    response, appeared = asyncio.run(main())
+    assert response["ok"], response
+    assert not appeared, sorted(appeared)
+    assert [result["solution"] for result in response["results"]] == expected
 
 
 def test_error_paths_keep_serving(tmp_path):
@@ -269,6 +311,8 @@ def test_unregister_and_shutdown_release_segments(tmp_path):
     address, thread = _serve(tmp_path)
     with ServeClient.connect(address) as client:
         instance = client.register(doc)
+        client.solve(instance, doc["deletions"])
+        assert set(active_segments()) == before  # registration exports nothing
         assert client.stats()["instances"]
         client.unregister(instance)
         assert client.stats()["instances"] == []
@@ -278,7 +322,7 @@ def test_unregister_and_shutdown_release_segments(tmp_path):
         client.register(doc)
         client.shutdown()
     thread.join(timeout=30)
-    # Everything the server exported in this process is released.
+    # No segment ever appeared in this process, and none lingers.
     assert set(active_segments()) == before
 
 
@@ -317,7 +361,7 @@ def test_malformed_request_fails_only_itself_in_a_coalesced_batch():
     view = next(iter(doc["deletions"]))
 
     async def main():
-        server = SolveServer(max_workers=0)
+        server = SolveServer()
         try:
             instance, _ = server.register_document(doc)
             responses = await asyncio.gather(
@@ -347,7 +391,7 @@ def test_malformed_request_fails_only_itself_in_a_coalesced_batch():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"max_pending": 0}, {"max_pending": -1}, {"max_workers": -1}],
+    [{"max_pending": 0}, {"max_pending": -1}],
 )
 def test_server_refuses_degenerate_limits(kwargs):
     # max_pending 0 would answer every solve with a retryable
@@ -375,7 +419,7 @@ def test_served_delta_trace_is_filed_under_the_instance_id(
     deletions = {view: doc["deletions"][view][:1]}
 
     async def main():
-        server = SolveServer(max_workers=0)
+        server = SolveServer()
         try:
             instance, _ = server.register_document(doc)
             response, _ = await server._dispatch(encode_message({
