@@ -16,9 +16,7 @@ speedup and refreshes its artifact, the session batch bench
 attach-by-manifest speedup and the closed-loop request rate, the serve
 chaos bench (``bench_serve_chaos.py``), which pins the request rate
 under a ~1% connection-drop fault schedule with every request recovered
-to an answer, the exact ILP bench, and the adaptive-routing bench
-(``bench_routing.py``), which re-verifies the >=1.3x forest-duel skip
-of the learned router.
+to an answer, and the exact ILP bench.
 
 ``--validate`` turns the sweep into a gate: every ``BENCH_*.json`` in
 the output directory must parse against the harness schema and carry at
@@ -132,17 +130,6 @@ def _bench_commands(out_dir: Path, full: bool) -> list[tuple[str, list[str]]]:
                 ],
             )
         )
-        commands.append(
-            (
-                "routing",
-                [
-                    sys.executable,
-                    str(_HERE / "bench_routing.py"),
-                    "--out",
-                    str(out_dir),
-                ],
-            )
-        )
     return commands
 
 
@@ -199,7 +186,7 @@ def _aggregate(out_dir: Path) -> list[dict]:
 #: Guarded perf keys where *lower* is better (latency-style).
 _GUARDED_KEYS = ("arena_s", "per_request_ms")
 #: Guarded perf keys where *higher* is better (throughput-style).
-_GUARDED_KEYS_HIGHER = ("requests_per_s", "duel_skip_speedup")
+_GUARDED_KEYS_HIGHER = ("requests_per_s",)
 _MAX_REGRESSION = 2.0
 
 

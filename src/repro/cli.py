@@ -196,17 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     solve_cmd.add_argument(
-        "--router",
-        default=None,
-        choices=["static", "learned"],
-        help=(
-            "route planner for auto dispatch: 'static' replays the "
-            "declared route table, 'learned' fits duel-winner / ILP-"
-            "threshold / chain-order knobs from the trace store "
-            "(default: the REPRO_ROUTER env var, else static)"
-        ),
-    )
-    solve_cmd.add_argument(
         "--no-trace-store",
         action="store_true",
         help=(
@@ -223,18 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     route_cmd = sub.add_parser(
         "route",
         help=(
-            "inspect adaptive routing: 'explain' prints the route plan "
-            "an auto dispatch of the problem would follow"
+            "inspect dispatch: 'explain' prints the route-table entry "
+            "an auto dispatch of the problem takes"
         ),
     )
     route_cmd.add_argument("action", choices=["explain"])
     route_cmd.add_argument("problem", help="path to a JSON problem document")
-    route_cmd.add_argument(
-        "--router",
-        default=None,
-        choices=["static", "learned"],
-        help="route planner to explain (default: REPRO_ROUTER, else static)",
-    )
 
     repairs_cmd = sub.add_parser(
         "repairs", help="enumerate the k cheapest distinct repairs"
@@ -312,15 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-shrink",
         action="store_true",
         help="persist failing cases without shrinking them",
-    )
-    fuzz_cmd.add_argument(
-        "--router",
-        default=None,
-        choices=["static", "learned"],
-        help=(
-            "route planner the campaign's auto dispatches use "
-            "(sets REPRO_ROUTER for the run; default: current env)"
-        ),
     )
 
     serve_cmd = sub.add_parser(
@@ -507,7 +481,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             method=args.method,
             policy=policy,
             rng=rng,
-            router=args.router,
         )
         solution = report.propagation
     if args.json:
@@ -561,11 +534,22 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    from repro.core.registry import route_plan
+    from repro.core.registry import ILP_ROUTE_MAX_NORM_V, ROUTE_TABLE, route_plan
+    from repro.core.session import SolveSession
 
-    problem = load_problem(args.problem)
-    plan = route_plan(problem, router=args.router)
-    print(plan.explain())
+    session = SolveSession.of(load_problem(args.problem))
+    weights = "integer" if session.integer_weights() else "non-integer"
+    print(f"route: {route_plan(session).name}")
+    print(f"route order: {' > '.join(route.name for route in ROUTE_TABLE)}")
+    print(
+        f"exact-ilp gate: norm_v <= {ILP_ROUTE_MAX_NORM_V} "
+        f"(norm_v = {session.problem.norm_v})"
+    )
+    print(
+        "forest duel: Algorithm 1, then Algorithm 3 unless Algorithm 1's "
+        "side effect <= ceil(dual) (integer weights) or <= dual (other "
+        f"weights); this instance has {weights} weights"
+    )
     return 0
 
 
@@ -718,12 +702,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz import CASE_KINDS, run_fuzz
 
-    if args.router:
-        import os
-
-        from repro.core.router import ROUTER_ENV
-
-        os.environ[ROUTER_ENV] = args.router
     kinds = None
     if args.kinds:
         kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())

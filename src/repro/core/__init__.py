@@ -63,14 +63,6 @@ from repro.core.registry import (
     solve,
     solve_report,
 )
-from repro.core.router import (
-    LearnedRouter,
-    RoutePlan,
-    StaticRouter,
-    active_plan,
-    plan_scope,
-    resolve_router,
-)
 from repro.core.tracestore import (
     TraceStore,
     default_store,
@@ -123,7 +115,6 @@ __all__ = [
     "VerificationReport",
     "WorkloadStatistics",
     "DeletionPropagationProblem",
-    "LearnedRouter",
     "PAPER_RESULTS",
     "ParetoPoint",
     "PortfolioResult",
@@ -131,12 +122,10 @@ __all__ = [
     "Propagation",
     "ROUTE_TABLE",
     "Route",
-    "RoutePlan",
     "RouteStage",
     "SolvePolicy",
     "SolveReport",
     "SolveSession",
-    "StaticRouter",
     "StructureProfile",
     "TraceStore",
     "TABLE_II",
@@ -144,7 +133,6 @@ __all__ = [
     "TABLE_IV",
     "TABLE_V",
     "active_deadline",
-    "active_plan",
     "available_solvers",
     "claim1_bound",
     "classification_flags",
@@ -161,11 +149,9 @@ __all__ = [
     "default_store",
     "pareto_front",
     "parse_fallback",
-    "plan_scope",
     "preserved_degree",
     "record_from_report",
     "resilience",
-    "resolve_router",
     "route_plan",
     "run_delta_batch",
     "run_portfolio",

@@ -13,13 +13,14 @@ structural scans.  The routes, in order:
 3. Standard problems with a single deleted view tuple: exact argmin.
 4. Non-key-preserving inputs: fall back to exact search.
 5. Pivot-forest structure: Algorithm 4 (exact, polynomial).
-6. Forest case: run **both** Algorithm 1 (``PrimeDualVSE``) and
-   Algorithm 3 (``LowDegTreeVSETwo``) and keep the cheaper — the paper
-   notes the ``2·sqrt(‖V‖)`` bound "is sometimes better than factor l".
-   The winner is labeled ``auto:<winner>`` and both candidates' costs
-   are recorded in the :class:`SolveReport` trace.
+6. Forest case: run Algorithm 1 (``PrimeDualVSE``) and Algorithm 3
+   (``LowDegTreeVSETwo``) and keep the cheaper — the paper notes the
+   ``2·sqrt(‖V‖)`` bound "is sometimes better than factor l".  The
+   winner is labeled ``auto:<winner>`` and every candidate's cost is
+   recorded in the :class:`SolveReport` trace.  Algorithm 3 is skipped
+   when Algorithm 1's own dual certifies its answer optimal.
 7. Small/medium key-preserving instances (``‖V‖`` up to
-   ``_ILP_ROUTE_MAX_NORM_V``) with no special structure: the
+   ``ILP_ROUTE_MAX_NORM_V``) with no special structure: the
    arena-compiled exact ILP (:mod:`repro.lp.ilp`) — an exact answer in
    milliseconds where the general pipeline only approximates.
 8. Otherwise: the Claim 1 RBSC pipeline.
@@ -34,6 +35,7 @@ propagation-only wrapper.  Named solvers are exposed directly via
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -51,24 +53,13 @@ from repro.core.general import solve_general
 from repro.core.greedy import solve_greedy_max_coverage, solve_greedy_min_damage
 from repro.core.lowdeg_tree import solve_lowdeg_tree_sweep
 from repro.core.lp_rounding import solve_lp_rounding, solve_randomized_rounding
-from repro.core.primal_dual import solve_primal_dual
+from repro.core.primal_dual import PrimalDualTrace, solve_primal_dual
 from repro.core.problem import DeletionPropagationProblem
 from repro.core.resilience import (
     AttemptRecord,
     Deadline,
     SolvePolicy,
     deadline_scope,
-)
-from repro.core.router import (
-    DEFAULT_ILP_NORM_V,
-    LearnedRouter,
-    RoutePlan,
-    StaticRouter,
-    active_duel_winner,
-    active_ilp_norm_v,
-    active_plan,
-    plan_scope,
-    resolve_router,
 )
 from repro.core.session import SolveSession, StructureProfile
 from repro.core.single_query import (
@@ -84,6 +75,7 @@ __all__ = [
     "Route",
     "RouteStage",
     "SolveReport",
+    "ILP_ROUTE_MAX_NORM_V",
     "available_solvers",
     "route_plan",
     "solve",
@@ -149,7 +141,9 @@ class SolveReport:
 
     ``trace`` holds every solver actually executed — for the forest
     duel that is both candidates, with the loser's cost preserved
-    instead of silently discarded.
+    instead of silently discarded.  ``note`` says why a duel ran only
+    one candidate (a dual certificate or an expired deadline); it is
+    printed by :meth:`summary` and never serialized.
 
     ``attempts`` is the resilience trace: empty for a plain dispatch,
     and one :class:`~repro.core.resilience.AttemptRecord` per attempt
@@ -163,6 +157,7 @@ class SolveReport:
     profile: StructureProfile
     trace: list[RouteStage] = field(default_factory=list)
     attempts: list[AttemptRecord] = field(default_factory=list)
+    note: str | None = None
 
     @property
     def method(self) -> str:
@@ -190,6 +185,8 @@ class SolveReport:
                 f"  {mark} {stage.method:<24} {stage.seconds * 1e3:8.2f} ms"
                 f"  objective {objective}"
             )
+        if self.note:
+            lines.append(f"  ({self.note})")
         for record in self.attempts:
             lines.append(f"  ~ {record.summary()}")
         return "\n".join(lines)
@@ -213,54 +210,75 @@ class Route:
 #: Instances up to this ``‖V‖`` take the exact ILP route when no
 #: stronger structural route applies — the arena-compiled backend
 #: answers these in single-digit milliseconds (see BENCH_ilp_exact),
-#: so an exact answer beats the Claim 1 approximation outright.  The
-#: constant is now only the *default* gate: the active
-#: :class:`~repro.core.router.RoutePlan` supplies the effective value
-#: (``REPRO_ILP_NORM_V`` overrides, a learned router may move it).
-_ILP_ROUTE_MAX_NORM_V = DEFAULT_ILP_NORM_V
+#: so an exact answer beats the Claim 1 approximation outright.
+ILP_ROUTE_MAX_NORM_V = 64
 
-#: The forest duel's candidate families, keyed as
-#: :class:`~repro.core.router.RoutePlan.duel_winner` names them.
-_DUEL_SOLVERS = {
-    "primal-dual": solve_primal_dual,
-    "lowdeg-tree": solve_lowdeg_tree_sweep,
-}
+#: Relative slack taken off Algorithm 1's float dual objective before
+#: it certifies: the dual is a float sum and may overshoot the exact
+#: dual by rounding, never by this much.
+_DUAL_SLACK = 1e-9
 
 
 def _run_trivial(session: SolveSession) -> Propagation:
     return Propagation(session.problem, (), method="auto-trivial")
 
 
+def _duel_certificate(
+    session: SolveSession, side_effect: float, dual: float
+) -> str | None:
+    """Why Algorithm 1's answer cannot lose the duel, or ``None``.
+
+    ``dual`` is a feasible dual objective, so it lower-bounds the
+    optimum (docs/ALGORITHMS.md, "Certified forest duel").  With
+    integer weights the optimum is an integer too, so ``ceil(dual)``
+    bounds it; otherwise only the slack-reduced dual does, which keeps
+    a float tie from certifying.  The optimum is never negative.  A
+    side effect at or below the bound is optimal, and Algorithm 3 can
+    at best tie it — which the first-minimum rule resolves for
+    Algorithm 1.
+    """
+    floor = dual - _DUAL_SLACK * max(1.0, abs(dual))
+    if session.integer_weights():
+        bound = max(0, math.ceil(floor))
+        if side_effect <= bound:
+            return (
+                f"certified: side effect {side_effect:g} <= "
+                f"ceil(dual {dual:.6g}) = {bound}"
+            )
+    elif side_effect <= max(0.0, floor):
+        return (
+            f"certified: side effect {side_effect:g} <= "
+            f"dual {dual:.6g}"
+        )
+    return None
+
+
 def _run_forest_duel(session: SolveSession) -> Propagation:
-    """Run Algorithms 1 and 3, keep the cheaper, label it with the
-    winner (satellite: the losing candidate used to be discarded with
-    no trace that the duel even happened).
+    """Run Algorithm 1, then Algorithm 3, and keep the cheaper (the
+    first on a tie), labeled with the winner; every candidate that ran
+    is stashed as a trace stage.
 
-    When the active route plan names a duel winner (a learned router
-    with enough decided duels for this profile bucket), only that
-    candidate runs — the duel-skip fast path measured in
-    ``BENCH_routing.json``.
-
-    Under an active deadline the duel degrades gracefully: once a first
-    candidate exists, an expired deadline skips the remaining
-    contender instead of raising — a one-candidate duel is still a
-    correct (just possibly costlier) answer.
+    Algorithm 3 runs only when it could change the answer.  It is
+    skipped when Algorithm 1's dual certifies Algorithm 1 optimal (see
+    :func:`_duel_certificate`), and when the active deadline has
+    expired — a one-candidate duel is still a correct (just possibly
+    costlier) answer, so the duel degrades instead of raising.
     """
     problem = session.problem
-    deadline = session.deadline
-    preferred = _DUEL_SOLVERS.get(active_duel_winner() or "")
-    solvers = (
-        (preferred,)
-        if preferred is not None
-        else (solve_primal_dual, solve_lowdeg_tree_sweep)
+    trace = PrimalDualTrace()
+    start = time.perf_counter()
+    first = solve_primal_dual(problem, trace=trace)
+    candidates = [(first, time.perf_counter() - start)]
+    note = _duel_certificate(
+        session, first.side_effect(), trace.dual_objective()
     )
-    candidates = []
-    for solver in solvers:
-        if candidates and deadline is not None and deadline.expired:
-            break
+    deadline = session.deadline
+    if note is None and deadline is not None and deadline.expired:
+        note = "deadline: expired after primal-dual, lowdeg-tree skipped"
+    if note is None:
         start = time.perf_counter()
-        candidate = solver(problem)
-        candidates.append((candidate, time.perf_counter() - start))
+        second = solve_lowdeg_tree_sweep(problem)
+        candidates.append((second, time.perf_counter() - start))
     winner = min(candidates, key=lambda pair: pair[0].side_effect())[0]
     labeled = winner.relabeled(f"auto:{winner.method}")
     # Stash the duel stages for solve_report to splice into the trace.
@@ -274,6 +292,7 @@ def _run_forest_duel(session: SolveSession) -> Propagation:
         )
         for candidate, seconds in candidates
     ]
+    labeled.duel_note = note
     return labeled
 
 
@@ -324,7 +343,7 @@ ROUTE_TABLE: tuple[Route, ...] = (
         lambda p: (
             not p.balanced
             and p.key_preserving
-            and p.norm_v <= active_ilp_norm_v()
+            and p.norm_v <= ILP_ROUTE_MAX_NORM_V
         ),
         lambda s: solve_exact_ilp(s.problem),
     ),
@@ -339,16 +358,19 @@ ROUTE_TABLE: tuple[Route, ...] = (
 
 def route_plan(
     problem: DeletionPropagationProblem | SolveSession,
-    router: "str | StaticRouter | LearnedRouter | None" = None,
-) -> RoutePlan:
-    """The :class:`~repro.core.router.RoutePlan` an auto dispatch of
-    ``problem`` would follow (``repro route explain`` prints it)."""
+) -> Route:
+    """The :data:`ROUTE_TABLE` entry an auto dispatch of ``problem``
+    takes: the first whose predicate holds (``repro route explain``
+    prints it)."""
     session = (
         problem
         if isinstance(problem, SolveSession)
         else SolveSession.of(problem)
     )
-    return resolve_router(router).plan(session.profile)
+    for route in ROUTE_TABLE:
+        if route.applies(session.profile):
+            return route
+    raise SolverError("route table exhausted (missing catch-all)")
 
 
 def _record_trace(session: SolveSession, report: SolveReport) -> None:
@@ -371,7 +393,6 @@ def solve_report(
     deadline: Deadline | None = None,
     policy: SolvePolicy | None = None,
     rng: "random.Random | None" = None,
-    router: "str | StaticRouter | LearnedRouter | None" = None,
 ) -> SolveReport:
     """Solve and return the full :class:`SolveReport` envelope.
 
@@ -382,13 +403,6 @@ def solve_report(
     :func:`repro.core.resilience.solve_with_policy` for the full
     deadline + retry + fallback-chain treatment, with ``rng`` (or a
     per-request seeded default) driving its backoff jitter.
-
-    ``router`` picks the route planner for auto dispatch: ``"static"``
-    (the declared table, the default), ``"learned"`` (the trace-store
-    cost model), a router instance, or ``None`` to defer to the
-    ``REPRO_ROUTER`` environment variable — unless an ambient plan is
-    already installed (a policy chain re-entering the dispatcher), which
-    then stays in force.
     """
     if policy is not None:
         from repro.core.resilience import solve_with_policy
@@ -399,11 +413,10 @@ def solve_report(
             policy=policy,
             deadline=deadline,
             rng=rng,
-            router=router,
         )
     if deadline is not None:
         with deadline_scope(deadline):
-            return solve_report(problem, method=method, router=router)
+            return solve_report(problem, method=method)
 
     if isinstance(problem, SolveSession):
         session = problem
@@ -438,45 +451,30 @@ def solve_report(
         _record_trace(session, report)
         return report
 
-    profile = session.profile
-    # An ambient plan (installed by an enclosing dispatch or a policy
-    # chain) stays in force unless the caller names a router explicitly.
-    plan = active_plan() if router is None else None
-    if plan is None:
-        plan = resolve_router(router).plan(profile)
-    routes = {route.name: route for route in ROUTE_TABLE}
-    # Walk in plan order; any table entry the plan does not name keeps
-    # its declared position afterwards (the catch-all can never be
-    # planned away).
-    walk = [routes.pop(name) for name in plan.order if name in routes]
-    walk.extend(routes.values())
-    with plan_scope(plan):
-        for route in walk:
-            if not route.applies(profile):
-                continue
-            start = time.perf_counter()
-            propagation = route.run(session)
-            seconds = time.perf_counter() - start
-            stages = getattr(propagation, "duel_stages", None)
-            if stages is None:
-                stages = [
-                    RouteStage(
-                        route=route.name,
-                        method=propagation.method,
-                        seconds=seconds,
-                        objective=propagation.objective(),
-                        chosen=True,
-                    )
-                ]
-            report = SolveReport(
-                propagation=propagation,
+    route = route_plan(session)
+    start = time.perf_counter()
+    propagation = route.run(session)
+    seconds = time.perf_counter() - start
+    stages = getattr(propagation, "duel_stages", None)
+    if stages is None:
+        stages = [
+            RouteStage(
                 route=route.name,
-                profile=profile,
-                trace=stages,
+                method=propagation.method,
+                seconds=seconds,
+                objective=propagation.objective(),
+                chosen=True,
             )
-            _record_trace(session, report)
-            return report
-    raise SolverError("route table exhausted (missing catch-all)")
+        ]
+    report = SolveReport(
+        propagation=propagation,
+        route=route.name,
+        profile=session.profile,
+        trace=stages,
+        note=getattr(propagation, "duel_note", None),
+    )
+    _record_trace(session, report)
+    return report
 
 
 def solve(
@@ -485,15 +483,13 @@ def solve(
     deadline: Deadline | None = None,
     policy: SolvePolicy | None = None,
     rng: "random.Random | None" = None,
-    router: "str | StaticRouter | LearnedRouter | None" = None,
 ) -> Propagation:
     """Solve a deletion-propagation problem.
 
     ``method="auto"`` dispatches by structure via the route table (see
     module docstring); any name from :func:`available_solvers` forces a
     specific algorithm.  ``deadline`` / ``policy`` / ``rng`` add the
-    resilience layer (see :mod:`repro.core.resilience`); ``router``
-    picks the route planner (see :mod:`repro.core.router`).  Use
+    resilience layer (see :mod:`repro.core.resilience`).  Use
     :func:`solve_report` for the route trace, per-stage timings, and
     attempt trace.
     """
@@ -503,5 +499,4 @@ def solve(
         deadline=deadline,
         policy=policy,
         rng=rng,
-        router=router,
     ).propagation

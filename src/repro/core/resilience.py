@@ -458,7 +458,6 @@ def solve_with_policy(
     policy: SolvePolicy | None = None,
     deadline: Deadline | None = None,
     rng: _random.Random | None = None,
-    router: object | None = None,
 ) -> "SolveReport":
     """Solve under a :class:`SolvePolicy` and return the
     :class:`~repro.core.registry.SolveReport` with its ``attempts``
@@ -473,18 +472,11 @@ def solve_with_policy(
     the deadline is global, so later chain entries would expire
     immediately anyway.  When the chain is exhausted a
     :class:`SolverError` summarising every attempt is raised (with the
-    trace on its ``attempts`` attribute).
-
-    ``router`` resolves a :class:`~repro.core.router.RoutePlan` once per
-    request; the plan orders the fallback tail of the chain
-    (:meth:`RoutePlan.order_chain`) and rides the plan scope into every
-    attempt so ``auto`` chain entries dispatch under it.  With no
-    router argument an ambient plan stays in force; a cold plan leaves
-    the chain exactly as declared.
+    trace on its ``attempts`` attribute).  The chain runs exactly as
+    declared.
     """
     from repro.core.faultinject import maybe_inject
     from repro.core.registry import SolveReport, solve_report
-    from repro.core.router import active_plan, plan_scope, resolve_router
     from repro.core.session import SolveSession
 
     if policy is None:
@@ -496,18 +488,10 @@ def solve_with_policy(
         # jitter must be reproducible per request (and recorded in the
         # attempt trace below).
         rng = derive_backoff_rng(method, policy)
-    plan = active_plan() if router is None else None
-    if plan is None:
-        session = (
-            problem
-            if isinstance(problem, SolveSession)
-            else SolveSession.of(problem)
-        )
-        plan = resolve_router(router).plan(session.profile)
     attempts: list[AttemptRecord] = []
     last_error: Exception | None = None
 
-    for name in plan.order_chain(policy.chain(method)):
+    for name in policy.chain(method):
         attempt = 0
         while True:
             if deadline is not None and deadline.expired:
@@ -527,7 +511,7 @@ def solve_with_policy(
                 raise error from last_error
             start = time.perf_counter()
             try:
-                with deadline_scope(deadline), plan_scope(plan):
+                with deadline_scope(deadline):
                     maybe_inject("solve", name)
                     report = solve_report(problem, method=name)
             except DeadlineExceededError as exc:

@@ -239,6 +239,7 @@ class _InstanceArtifacts:
         "dp_tables",
         "ilp_incidence",
         "trace_key",
+        "integer_weights",
     )
 
     def __init__(self) -> None:
@@ -256,6 +257,7 @@ class _InstanceArtifacts:
         #: the arena slabs (see :func:`repro.lp.ilp.witness_incidence`)
         #: — ΔV-independent, so siblings share one build.
         self.ilp_incidence: object | None = None
+        self.integer_weights: bool | None = None
 
 
 class SolveSession:
@@ -547,6 +549,24 @@ class SolveSession:
 
     def candidate_facts(self) -> tuple[Fact, ...]:
         return self.problem.candidate_facts()
+
+    def integer_weights(self) -> bool:
+        """Whether every view-tuple weight is an integer and their total
+        stays below ``2**52``, so every side effect is an exact float64
+        integer and so is the optimum.  Computed once per instance and
+        shared with every ΔV sibling (the forest duel's certificate
+        reads it on each request)."""
+        shared = self._shared
+        if shared.integer_weights is None:
+            weights = [
+                self.problem.weight(vt)
+                for vt in self.problem.all_view_tuples()
+            ]
+            shared.integer_weights = (
+                all(w.is_integer() for w in weights)
+                and math.fsum(weights) < 2.0**52
+            )
+        return shared.integer_weights
 
     def weight(self, vt: ViewTuple) -> float:
         return self.problem.weight(vt)

@@ -1,12 +1,11 @@
-"""Persistent solve-trace store — the routing subsystem's memory.
+"""Persistent solve-trace store — an observability log of dispatches.
 
 Every dispatch through :func:`repro.core.registry.solve_report` appends
 one compact JSON-lines record: the instance fingerprint, the structural
 profile features the route table dispatched on, the route and method
-that answered, and the per-stage timings (both forest-duel candidates
-included).  :mod:`repro.core.router`'s learned planner fits its cost
-model from these records; everything else about them is plain
-observability.
+that answered, and the per-stage timings (every forest-duel candidate
+that ran included).  Nothing in the solver reads the records back;
+they answer "which route, how slow" after the fact.
 
 Design constraints, in order:
 
@@ -22,8 +21,7 @@ Design constraints, in order:
 * **Opt-out, not opt-in.**  Recording is on by default into
   ``$REPRO_TRACE_DIR`` (or a per-user directory under the system temp
   dir); ``REPRO_TRACE=off|0|false|no`` (or the CLI's ``--no-trace``)
-  disables it.  *Consuming* traces — learned routing — is strictly
-  opt-in (``--router learned`` / ``REPRO_ROUTER=learned``).
+  disables it.
 
 Record schema (``v`` = :data:`SCHEMA_VERSION`)::
 

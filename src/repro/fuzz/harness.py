@@ -25,6 +25,9 @@ all routes agree).  The checks, in the order they run:
    optimum).  No route may beat the ILP (that would indict the ILP
    itself), and on standard problems the LP relaxation (1)–(5) must not
    exceed it.
+4b. **Duel certificate** — on forest-duel cases, Algorithm 1's dual
+   objective must not exceed the ILP optimum, and the auto answer must
+   equal the full duel's (both candidates run, first minimum kept).
 5. **Metamorphic invariants** — adding a fact in a fresh unrelated
    relation never changes any deterministic route's answer; duplicating
    ΔV rows in the problem document is a no-op; after applying a
@@ -365,9 +368,11 @@ def _check_ratios(
     problem: DeletionPropagationProblem,
     produced: dict[str, Propagation],
     report: CaseReport,
-) -> None:
+) -> float | None:
+    """Check every route against the ILP optimum; returns the optimum
+    (``None`` when the referee does not apply or failed)."""
     if not _ilp_applicable(problem):
-        return
+        return None
     from repro.core.exact import solve_exact
 
     try:
@@ -375,13 +380,13 @@ def _check_ratios(
     except DeadlineExceededError:
         raise
     except (SolverError, NotKeyPreservingError):
-        return
+        return None
     except Exception:
         report.fail(
             "route-crash:exact",
             traceback.format_exc(limit=3).strip().splitlines()[-1],
         )
-        return
+        return None
     report.routes_run.append("exact")
     _check_propagation("exact", optimum, report)
 
@@ -413,6 +418,7 @@ def _check_ratios(
                 f"side-effect {value!r} exceeds bound {bound:g} × "
                 f"optimum {opt_value!r}",
             )
+    return opt_value
 
 
 def _check_lp_bound(
@@ -432,6 +438,46 @@ def _check_lp_bound(
         report.fail(
             "lp-bound",
             f"LP optimum {bound!r} exceeds exact optimum {opt_value!r}",
+        )
+
+
+def _check_duel_certificate(
+    problem: DeletionPropagationProblem,
+    auto: Propagation | None,
+    opt_value: float | None,
+    report: CaseReport,
+) -> None:
+    """On a forest-duel case, Algorithm 1's dual objective must not
+    exceed the ILP optimum (weak duality — the certificate the duel
+    stops on), and the auto answer must equal the full duel's: both
+    candidates forced, the first minimum kept."""
+    from repro.core.lowdeg_tree import solve_lowdeg_tree_sweep
+    from repro.core.primal_dual import PrimalDualTrace, solve_primal_dual
+    from repro.core.registry import route_plan
+
+    if auto is None or route_plan(problem).name != "forest-duel":
+        return
+    trace = PrimalDualTrace()
+    candidates = (
+        solve_primal_dual(problem, trace=trace),
+        solve_lowdeg_tree_sweep(problem),
+    )
+    dual = trace.dual_objective()
+    if opt_value is not None and dual > opt_value + _EPS:
+        report.fail(
+            "duel-certificate:dual",
+            f"dual objective {dual!r} exceeds exact optimum {opt_value!r}",
+        )
+    full = min(candidates, key=lambda candidate: candidate.side_effect())
+    if (
+        auto.deleted_facts != full.deleted_facts
+        or auto.method != f"auto:{full.method}"
+    ):
+        report.fail(
+            "duel-certificate:full-duel",
+            f"auto {auto.method} {sorted(map(repr, auto.deleted_facts))} "
+            f"!= full duel auto:{full.method} "
+            f"{sorted(map(repr, full.deleted_facts))}",
         )
 
 
@@ -606,7 +652,10 @@ def check_problem(
         if deadline is not None:
             deadline.check(what="fuzz cross-checks")
         _check_arena_vs_reference(problem, report)
-        _check_ratios(problem, produced, report)
+        opt_value = _check_ratios(problem, produced, report)
+        _check_duel_certificate(
+            problem, produced.get("auto"), opt_value, report
+        )
         if metamorphic:
             if deadline is not None:
                 deadline.check(what="fuzz metamorphic checks")

@@ -118,16 +118,25 @@ def policy_to_doc(policy) -> dict | None:
     return None if policy is None else policy.as_dict()
 
 
+def _finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 def _check_number(
     name: str, value: Any, kinds: Any = (int, float), positive: bool = False
 ) -> None:
     """Reject a policy value that is not a finite ``>= 0`` (or, with
     ``positive``, ``> 0``) instance of ``kinds``; bools never pass.
-    ``json.loads`` accepts ``NaN``, and a NaN deadline never expires."""
+    ``json.loads`` accepts ``NaN``, and a NaN deadline never expires;
+    it also accepts integers too large for a float, which would
+    overflow once the solve turns them into seconds."""
     if (
         isinstance(value, bool)
         or not isinstance(value, kinds)
-        or (isinstance(value, float) and not math.isfinite(value))
+        or not _finite(value)
         or (value <= 0 if positive else value < 0)
     ):
         what = "an integer" if kinds is int else "a finite number"

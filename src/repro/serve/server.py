@@ -108,8 +108,8 @@ class ServeStats:
     ``routes`` is the per-route request/latency histogram: for every
     dispatch route taken by a solve (``forest-duel``, ``exact-ilp``,
     ``forced:<method>``, …) the request count, accumulated wall time,
-    and a log2 latency histogram — the production-side view of routing
-    drift (a learned router changing its mind shows up here first).
+    and a log2 latency histogram — the production-side view of which
+    route table entries a served workload takes and what each costs.
     """
 
     registered: int = 0

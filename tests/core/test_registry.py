@@ -5,7 +5,15 @@ import random
 import pytest
 
 from repro.errors import SolverError
-from repro.core.registry import available_solvers, solve
+from repro.core.registry import (
+    ILP_ROUTE_MAX_NORM_V,
+    ROUTE_TABLE,
+    _duel_certificate,
+    available_solvers,
+    route_plan,
+    solve,
+    solve_report,
+)
 from repro.workloads import (
     figure1_problem,
     figure1_problem_q4,
@@ -153,3 +161,105 @@ class TestSelfJoinDispatch:
         # Claim 1 remains available (and sound) when forced by name.
         forced = solve(problem, method="claim1")
         assert forced.is_feasible()
+
+
+def _star(seed):
+    return random_star_problem(
+        random.Random(seed),
+        num_queries=3,
+        max_leaves_per_query=3,
+        delta_fraction=0.4,
+    )
+
+
+class TestRouteTable:
+    def test_route_plan_is_the_dispatched_route(self):
+        from repro.fuzz.generator import CASE_KINDS, make_case
+
+        for kind in CASE_KINDS:
+            problem = make_case(kind, random.Random(17)).problem
+            assert route_plan(problem).name == solve_report(problem).route
+
+    def test_ilp_gate_is_fixed(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.core.session import SolveSession
+
+        # The old environment override no longer moves the gate.
+        monkeypatch.setenv("REPRO_ILP_NORM_V", "3")
+        (route,) = [r for r in ROUTE_TABLE if r.name == "exact-ilp"]
+        profile = SolveSession.of(figure1_problem_q4()).profile
+        assert ILP_ROUTE_MAX_NORM_V == 64
+        assert route.applies(replace(profile, norm_v=64))
+        assert not route.applies(replace(profile, norm_v=65))
+
+    def test_classify_and_dispatch_share_one_structural_scan(
+        self, monkeypatch
+    ):
+        import repro.relational.analysis as analysis
+
+        calls = {"n": 0}
+        real = analysis.query_set_flags
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "query_set_flags", counting)
+        from repro.core.classify import classification_flags, verdict
+
+        problem = figure1_problem_q4()
+        solve_report(problem)  # dispatch scans once...
+        classification_flags(problem)  # ...classification reuses it
+        verdict(problem)
+        solve_report(problem)
+        assert calls["n"] == 1
+
+
+class TestDuelCertificate:
+    def test_integer_weights_certify_up_to_ceil_dual(self):
+        from repro.core.session import SolveSession
+
+        session = SolveSession.of(_star(107))
+        assert session.integer_weights()
+        assert _duel_certificate(session, 1.0, 0.5) is not None
+        assert _duel_certificate(session, 2.0, 0.5) is None
+        # Float overshoot of an integral dual does not round it up.
+        assert _duel_certificate(session, 2.0, 1.0 + 1e-12) is None
+
+    def test_other_weights_never_certify_a_float_tie(self):
+        from repro.core.problem import DeletionPropagationProblem
+        from repro.core.session import SolveSession
+
+        base = _star(107)
+        deletions = {
+            name: sorted(base.deletion.on(name))
+            for name in base.views.names
+            if base.deletion.on(name)
+        }
+        vt = base.preserved_view_tuples()[0]
+        problem = DeletionPropagationProblem(
+            base.instance, base.queries, deletions, weights={vt: 0.5}
+        )
+        session = SolveSession.of(problem)
+        assert not session.integer_weights()
+        assert _duel_certificate(session, 1.5, 1.5) is None
+        assert _duel_certificate(session, 0.0, 0.0) is not None
+
+    def test_integrality_is_computed_once_per_instance(self, monkeypatch):
+        from repro.core.problem import DeletionPropagationProblem
+
+        base = _star(107)
+        assert solve_report(base).route == "forest-duel"
+        deletions: dict = {}
+        for vt in base.deleted_view_tuples()[:3]:
+            deletions.setdefault(vt.view, []).append(vt.values)
+        sibling = base.with_deletions(deletions)
+
+        def rescan(self):
+            raise AssertionError("integrality re-scanned the view tuples")
+
+        monkeypatch.setattr(
+            DeletionPropagationProblem, "all_view_tuples", rescan
+        )
+        assert solve_report(sibling).route == "forest-duel"

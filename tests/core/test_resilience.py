@@ -299,9 +299,10 @@ class TestRegistryDeadline:
                 max_leaves_per_query=3,
                 delta_fraction=0.4,
             )
-            if solve_report(problem).route == "forest-duel":
-                return problem
-        pytest.fail("no forest-duel instance found in the seed range")
+            report = solve_report(problem)
+            if report.route == "forest-duel" and report.note is None:
+                return problem  # uncertified: both candidates run
+        pytest.fail("no uncertified forest duel found in the seed range")
 
     def test_forest_duel_skips_second_solver_when_expired(self, monkeypatch):
         problem = self._forest_duel_problem()
@@ -313,8 +314,8 @@ class TestRegistryDeadline:
 
         real = mod.solve_primal_dual
 
-        def slow_primal_dual(p):
-            result = real(p)
+        def slow_primal_dual(p, **kwargs):
+            result = real(p, **kwargs)
             clock.advance(10.0)
             return result
 
@@ -324,6 +325,7 @@ class TestRegistryDeadline:
         # One candidate only: the duel degraded instead of raising.
         assert report.route == "forest-duel"
         assert len(report.trace) == 1
+        assert report.note.startswith("deadline: ")
         assert report.propagation.is_feasible()
 
     def test_ample_deadline_byte_identical_across_fuzz_shapes(self):

@@ -354,6 +354,21 @@ class TestForcedVsAutoParity:
         assert forced.deleted_facts == report.propagation.deleted_facts
 
 
+def _forest_duels():
+    """``(problem, report)`` for each star instance in a fixed seed
+    range that auto dispatch sends to the forest duel."""
+    for seed in range(101, 140):
+        problem = random_star_problem(
+            random.Random(seed),
+            num_queries=3,
+            max_leaves_per_query=3,
+            delta_fraction=0.4,
+        )
+        report = solve_report(problem)
+        if report.route == "forest-duel":
+            yield problem, report
+
+
 class TestSolveReport:
     def test_forced_report_has_single_stage_trace(self):
         report = solve_report(figure1_problem_q4(), method="exact")
@@ -370,16 +385,9 @@ class TestSolveReport:
         assert report.method == report.propagation.method
 
     def test_forest_duel_trace_keeps_both_candidates(self):
-        for seed in range(101, 140):
-            problem = random_star_problem(
-                random.Random(seed),
-                num_queries=3,
-                max_leaves_per_query=3,
-                delta_fraction=0.4,
-            )
-            report = solve_report(problem)
-            if report.route != "forest-duel":
-                continue
+        for _, report in _forest_duels():
+            if report.note is not None:
+                continue  # certified: Algorithm 3 never ran
             assert report.method.startswith("auto:")
             assert len(report.trace) == 2
             chosen = [stage for stage in report.trace if stage.chosen]
@@ -390,7 +398,27 @@ class TestSolveReport:
             assert chosen[0].objective <= losers[0].objective
             assert f"auto:{chosen[0].method}" == report.method
             return
-        pytest.fail("no forest-duel instance found in the seed range")
+        pytest.fail("no uncertified forest duel found in the seed range")
+
+    def test_certified_duel_runs_one_stage_and_matches_the_full_duel(self):
+        from repro.core.lowdeg_tree import solve_lowdeg_tree_sweep
+        from repro.core.primal_dual import solve_primal_dual
+
+        for problem, report in _forest_duels():
+            if report.note is None:
+                continue
+            assert report.note.startswith("certified: ")
+            assert len(report.trace) == 1 and report.trace[0].chosen
+            assert report.note in report.summary()
+            # The forced full duel: both candidates, first minimum kept.
+            full = min(
+                (solve_primal_dual(problem), solve_lowdeg_tree_sweep(problem)),
+                key=lambda candidate: candidate.side_effect(),
+            )
+            assert report.propagation.deleted_facts == full.deleted_facts
+            assert report.method == f"auto:{full.method}"
+            return
+        pytest.fail("no certified forest duel found in the seed range")
 
     def test_statistics_accepts_report(self):
         from repro.core.statistics import solver_statistics

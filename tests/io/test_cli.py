@@ -16,6 +16,24 @@ def problem_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def forest_duel_file(tmp_path):
+    """A star instance whose forest duel Algorithm 1's dual certifies."""
+    import random
+
+    from repro.workloads import random_star_problem
+
+    path = tmp_path / "star.json"
+    problem = random_star_problem(
+        random.Random(107),
+        num_queries=3,
+        max_leaves_per_query=3,
+        delta_fraction=0.4,
+    )
+    dump_problem(problem, str(path))
+    return str(path)
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -74,6 +92,18 @@ class TestSolveCommand:
         document = json.loads(capsys.readouterr().out)
         assert document["feasible"] is True
         assert document["side_effect"] == 1.0
+
+    def test_solve_trace_says_why_the_duel_ran_one_candidate(
+        self, forest_duel_file, capsys
+    ):
+        assert main(["solve", "--trace", forest_duel_file]) == 0
+        out = capsys.readouterr().out
+        assert "route forest-duel" in out
+        assert "(certified: side effect 1 <= ceil(dual 0.5) = 1)" in out
+        assert main(["solve", "--trace", "--json", forest_duel_file]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["trace"]) == 1
+        assert "certified" not in json.dumps(doc)
 
     def test_solve_with_named_method(self, tmp_path, capsys):
         path = tmp_path / "q4.json"
@@ -244,6 +274,30 @@ class TestEntryPoint:
         result = _run_cli("serve", "--pool-threshold", "4")
         assert result.returncode == 2
         assert "unrecognized arguments: --pool-threshold" in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{problem}", "--router", "static"],
+            ["route", "explain", "{problem}", "--router", "learned"],
+            ["fuzz", "--iterations", "0", "--router", "static"],
+        ],
+    )
+    def test_router_flag_is_gone(self, problem_file, argv):
+        result = _run_cli(
+            *(problem_file if arg == "{problem}" else arg for arg in argv)
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --router" in result.stderr
+
+    def test_route_explain_names_the_route(self, forest_duel_file):
+        result = _run_cli("route", "explain", forest_duel_file)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0] == "route: forest-duel"
+        assert any(line.startswith("exact-ilp gate: norm_v <= 64")
+                   for line in lines)
+        assert any("ceil(dual)" in line for line in lines)
 
     def test_boundary_client_and_serve_flags_accepted(self):
         parser = build_parser()

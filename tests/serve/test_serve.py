@@ -43,6 +43,34 @@ def test_decode_rejects_non_objects():
         decode_line(b"not json\n")
 
 
+_MALFORMED_POLICIES = [
+    {"deadline_sec": 1},  # typo
+    {"fallback": 5},
+    {"fallback": [["a"]]},
+    {"fallback": [1, 2]},
+    {"fallback": None},
+    {"deadline_seconds": "abc"},
+    {"deadline_seconds": float("nan")},
+    {"deadline_seconds": float("inf")},
+    {"deadline_seconds": 0},
+    {"deadline_seconds": True},
+    {"retries": "x"},
+    {"retries": -1},
+    {"retries": 1.5},
+    {"retries": True},
+    {"backoff_seconds": -0.1},
+    {"backoff_factor": [1]},
+    {"backoff_jitter": float("nan")},
+    {"backoff_seconds": None},
+    # Integers too large for a float overflow once turned into seconds.
+    {"deadline_seconds": 10**400},
+    {"backoff_seconds": 10**400},
+    {"backoff_factor": 10**400},
+    {"backoff_jitter": 10**400},
+    {"retries": 10**400},
+]
+
+
 def test_policy_from_doc():
     assert policy_from_doc(None) is None
     assert policy_from_doc({}) is None
@@ -56,6 +84,9 @@ def test_policy_from_doc():
         policy_from_doc({"deadline_secnods": 1.0})  # typo must not pass
     with pytest.raises(ProtocolError):
         policy_from_doc([1])  # not an object
+    for malformed in _MALFORMED_POLICIES:
+        with pytest.raises(ProtocolError):
+            policy_from_doc(malformed)
     # Validated policies are hashable: the batcher groups by them.
     assert hash(policy) == hash(policy_from_doc(policy.as_dict()))
 
@@ -123,26 +154,6 @@ def test_register_solve_matches_local(tmp_path):
         thread.join(timeout=30)
 
 
-_MALFORMED_POLICIES = [
-    {"deadline_sec": 1},  # typo
-    {"fallback": 5},
-    {"fallback": [["a"]]},
-    {"fallback": [1, 2]},
-    {"fallback": None},
-    {"deadline_seconds": "abc"},
-    {"deadline_seconds": float("nan")},
-    {"deadline_seconds": float("inf")},
-    {"deadline_seconds": 0},
-    {"deadline_seconds": True},
-    {"retries": "x"},
-    {"retries": -1},
-    {"retries": 1.5},
-    {"retries": True},
-    {"backoff_seconds": -0.1},
-    {"backoff_factor": [1]},
-    {"backoff_jitter": float("nan")},
-    {"backoff_seconds": None},
-]
 
 
 def test_solve_batch_and_policy_admission(tmp_path, caplog):
